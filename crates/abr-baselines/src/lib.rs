@@ -46,6 +46,8 @@ pub mod oracle;
 pub mod panda_cq;
 pub mod pia;
 pub mod rba;
+#[cfg(test)]
+mod reference;
 pub mod util;
 
 pub use bba::{Bba1, Bba1Config};

@@ -19,7 +19,7 @@
 use abr_sim::{AbrAlgorithm, DecisionContext};
 use net_trace::PredictionErrorTracker;
 
-use crate::util::for_each_sequence;
+use crate::util::{for_each_plan, MAX_HORIZON};
 
 /// MPC configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,13 +69,16 @@ pub struct Mpc {
     /// realized throughput that arrives in the next context.
     last_prediction: Option<f64>,
     n_observed: usize,
+    /// Per-decision lookup rows, reused so decisions never allocate.
+    rows: Vec<f64>,
 }
 
 impl Mpc {
     /// # Panics
-    /// Panics on a zero horizon or error window.
+    /// Panics on a zero error window, or a horizon that is zero or above
+    /// [`MAX_HORIZON`].
     pub fn new(config: MpcConfig) -> Mpc {
-        assert!(config.horizon > 0, "horizon must be positive");
+        assert!((1..=MAX_HORIZON).contains(&config.horizon));
         assert!(config.error_window > 0);
         Mpc {
             config,
@@ -83,6 +86,8 @@ impl Mpc {
             errors: PredictionErrorTracker::new(config.error_window),
             last_prediction: None,
             n_observed: 0,
+            // Room for 8-track ladders (the paper's have 6).
+            rows: Vec::with_capacity((config.horizon + 1) * 8),
         }
     }
 
@@ -147,38 +152,43 @@ impl AbrAlgorithm for Mpc {
         // model, per §6.1's "use the actual size … in making rate adaptation
         // decisions".
         let prev_quality = ctx.last_level.map(|l| m.declared_bitrate(l) / 1.0e6);
+        // Row 0: each level's quality; row 1 + k: its download time for chunk start + k.
+        let n = m.n_tracks();
+        self.rows.clear();
+        self.rows
+            .extend((0..n).map(|level| m.declared_bitrate(level) / 1.0e6));
+        self.rows.extend(
+            (0..horizon).flat_map(|k| (0..n).map(move |l| m.chunk_bits(l, start + k) / bw)),
+        );
+        let (quality, download) = self.rows.split_at(n);
 
         let mut best_seq0 = 0usize;
         let mut best_score = f64::NEG_INFINITY;
-        for_each_sequence(m.n_tracks(), horizon, |seq| {
-            let mut buf = ctx.buffer_s;
-            let mut rebuffer = 0.0;
-            let mut quality_sum = 0.0;
-            let mut smooth = 0.0;
-            let mut prev_q = prev_quality;
-            for (k, &level) in seq.iter().enumerate() {
-                let idx = start + k;
-                let q = m.declared_bitrate(level) / 1.0e6;
-                quality_sum += q;
-                if let Some(pq) = prev_q {
-                    smooth += (q - pq).abs();
-                }
-                prev_q = Some(q);
-                let dl = m.chunk_bits(level, idx) / bw;
-                if dl > buf {
-                    rebuffer += dl - buf;
-                    buf = 0.0;
+        for_each_plan(
+            n,
+            horizon,
+            // A prefix's state: (buffer, rebuffer, quality sum, smoothness
+            // penalty, last quality).
+            (ctx.buffer_s, 0.0, 0.0, 0.0, prev_quality),
+            |&(buf, rebuffer, quality_sum, smooth, prev_q), k, level| {
+                let q = quality[level];
+                let dl = download[k * n + level];
+                let smooth = prev_q.map_or(smooth, |pq| smooth + (q - pq).abs());
+                let (buf, rebuffer) = if dl > buf {
+                    (0.0, rebuffer + (dl - buf))
                 } else {
-                    buf -= dl;
+                    (buf - dl, rebuffer)
+                };
+                (buf + delta, rebuffer, quality_sum + q, smooth, Some(q))
+            },
+            |first, &(_, rebuffer, quality_sum, smooth, _)| {
+                let score = quality_sum - lambda * smooth - mu * rebuffer;
+                if score > best_score {
+                    best_score = score;
+                    best_seq0 = first;
                 }
-                buf += delta;
-            }
-            let score = quality_sum - lambda * smooth - mu * rebuffer;
-            if score > best_score {
-                best_score = score;
-                best_seq0 = seq[0];
-            }
-        });
+            },
+        );
         best_seq0
     }
 
@@ -192,9 +202,12 @@ impl AbrAlgorithm for Mpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, random_context, Coverage};
     use abr_sim::abr::FixedLevel;
     use abr_sim::{QoeConfig, Simulator};
     use net_trace::Trace;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use vbr_video::classify::Classification;
     use vbr_video::{Dataset, Manifest};
 
@@ -322,5 +335,55 @@ mod tests {
     fn names() {
         assert_eq!(Mpc::mpc().name(), "MPC");
         assert_eq!(Mpc::robust().name(), "RobustMPC");
+    }
+
+    #[test]
+    fn matches_brute_force_reference() {
+        let mut rng = StdRng::seed_from_u64(0x4d50_4321);
+        let mut coverage = Coverage::default();
+        for video in [Dataset::ed_ffmpeg_h264(), Dataset::ed_youtube_h264()] {
+            let m = Manifest::from_video(&video);
+            for mut mpc in [Mpc::mpc(), Mpc::robust()] {
+                // One sample of history per decision keeps RobustMPC's
+                // error tracker populated.
+                let mut past = Vec::new();
+                for _ in 0..1_000 {
+                    past.push(rng.gen_range(0.1e6..10.0e6));
+                    let ctx = random_context(&mut rng, &m, &past, &mut coverage);
+                    let level = mpc.choose_level(&ctx);
+                    // The prediction this decision planned with, discounted
+                    // by the error tracker the decision just updated.
+                    let raw = ctx.bandwidth_or_conservative();
+                    let bw = if mpc.config.robust {
+                        raw / (1.0 + mpc.errors.max_error())
+                    } else {
+                        raw
+                    };
+                    assert_eq!(
+                        level,
+                        reference::mpc_level(&mpc.config, &ctx, bw),
+                        "{} at chunk {} (buffer {}, bw {bw}, last {:?}, visible {})",
+                        mpc.name(),
+                        ctx.chunk_index,
+                        ctx.buffer_s,
+                        ctx.last_level,
+                        ctx.visible_chunks
+                    );
+                }
+                if mpc.config.robust {
+                    assert!(mpc.errors.max_error() > 0.0, "tracker stayed empty");
+                }
+            }
+        }
+        coverage.assert_all_seen();
+    }
+
+    #[test]
+    #[should_panic(expected = "(1..=MAX_HORIZON).contains(&config.horizon)")]
+    fn horizon_above_cap_panics_at_construction() {
+        let _ = Mpc::new(MpcConfig {
+            horizon: MAX_HORIZON + 1,
+            ..MpcConfig::mpc()
+        });
     }
 }

@@ -19,7 +19,7 @@ use abr_sim::{AbrAlgorithm, DecisionContext};
 use vbr_video::quality::VmafModel;
 use vbr_video::Video;
 
-use crate::util::for_each_sequence;
+use crate::util::{for_each_plan, MAX_HORIZON};
 
 /// Which window objective to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,31 +52,30 @@ impl Default for PandaCqConfig {
 /// The PANDA/CQ scheme.
 #[derive(Debug, Clone)]
 pub struct PandaCq {
-    /// `quality[level][chunk]` — granted side information (see module docs).
-    quality: Vec<Vec<f64>>,
+    /// `quality[chunk * n_tracks + level]` — granted side information (see
+    /// module docs), chunk-major so one chunk's levels sit side by side.
+    quality: Vec<f64>,
     objective: PandaCqObjective,
     config: PandaCqConfig,
     name: &'static str,
+    /// Per-decision lookup rows, reserved here so decisions never allocate.
+    rows: Vec<f64>,
 }
 
 impl PandaCq {
     /// Build from a video's quality table under the given VMAF model.
     ///
     /// # Panics
-    /// Panics on a zero horizon.
+    /// Panics on a horizon that is zero or above [`MAX_HORIZON`].
     pub fn from_video(
         video: &Video,
         model: VmafModel,
         objective: PandaCqObjective,
         config: PandaCqConfig,
     ) -> PandaCq {
-        assert!(config.horizon > 0);
-        let quality = (0..video.n_tracks())
-            .map(|l| {
-                (0..video.n_chunks())
-                    .map(|i| video.quality(l, i).vmaf(model))
-                    .collect()
-            })
+        assert!((1..=MAX_HORIZON).contains(&config.horizon));
+        let quality = (0..video.n_chunks())
+            .flat_map(|i| (0..video.n_tracks()).map(move |l| video.quality(l, i).vmaf(model)))
             .collect();
         PandaCq {
             quality,
@@ -86,6 +85,7 @@ impl PandaCq {
                 PandaCqObjective::MaxSum => "PANDA/CQ max-sum",
                 PandaCqObjective::MaxMin => "PANDA/CQ max-min",
             },
+            rows: Vec::with_capacity(config.horizon * video.n_tracks()),
         }
     }
 
@@ -119,8 +119,8 @@ impl AbrAlgorithm for PandaCq {
     fn choose_level(&mut self, ctx: &DecisionContext) -> usize {
         let m = ctx.manifest;
         assert_eq!(
-            self.quality[0].len(),
-            m.n_chunks(),
+            self.quality.len(),
+            m.n_tracks() * m.n_chunks(),
             "PANDA/CQ quality table does not match this manifest"
         );
         let bw = ctx.bandwidth_or_conservative();
@@ -131,6 +131,14 @@ impl AbrAlgorithm for PandaCq {
         let horizon = self.config.horizon.min(visible - start);
         let safety = self.config.safety_buffer_s;
 
+        // Row k: each level's download time for chunk start + k.
+        let n = m.n_tracks();
+        self.rows.clear();
+        self.rows.extend(
+            (0..horizon).flat_map(|k| (0..n).map(move |l| m.chunk_bits(l, start + k) / bw)),
+        );
+        let (download, quality) = (&self.rows, &self.quality[start * n..]);
+
         // Among plans that keep the buffer above the safety margin, optimize
         // the quality objective; if no plan is safe, fall back to the plan
         // minimizing the buffer violation (which enumeration order makes the
@@ -140,38 +148,37 @@ impl AbrAlgorithm for PandaCq {
         let mut fallback_seq0 = 0usize;
         let mut fallback_violation = f64::INFINITY;
         let mut any_safe = false;
-        for_each_sequence(m.n_tracks(), horizon, |seq| {
-            let mut buf = ctx.buffer_s;
-            let mut min_buf = f64::INFINITY;
-            let mut q_sum = 0.0;
-            let mut q_min = f64::INFINITY;
-            for (k, &level) in seq.iter().enumerate() {
-                let idx = start + k;
-                buf -= m.chunk_bits(level, idx) / bw;
-                min_buf = min_buf.min(buf);
-                buf = buf.max(0.0) + delta;
-                let q = self.quality[level][idx];
-                q_sum += q;
-                q_min = q_min.min(q);
-            }
-            if min_buf >= safety {
-                any_safe = true;
-                let key = match self.objective {
-                    PandaCqObjective::MaxSum => (q_sum, q_min),
-                    PandaCqObjective::MaxMin => (q_min, q_sum),
-                };
-                if key > best_key {
-                    best_key = key;
-                    best_seq0 = seq[0];
+        for_each_plan(
+            n,
+            horizon,
+            // A prefix's state: (buffer, lowest buffer before the refill,
+            // quality sum, quality minimum).
+            (ctx.buffer_s, f64::INFINITY, 0.0, f64::INFINITY),
+            |&(buf, low, sum, min), k, level| {
+                let after = buf - download[k * n + level];
+                let q = quality[k * n + level];
+                (after.max(0.0) + delta, low.min(after), sum + q, min.min(q))
+            },
+            |first, &(_, min_buf, q_sum, q_min)| {
+                if min_buf >= safety {
+                    any_safe = true;
+                    let key = match self.objective {
+                        PandaCqObjective::MaxSum => (q_sum, q_min),
+                        PandaCqObjective::MaxMin => (q_min, q_sum),
+                    };
+                    if key > best_key {
+                        best_key = key;
+                        best_seq0 = first;
+                    }
+                } else {
+                    let violation = safety - min_buf;
+                    if violation < fallback_violation {
+                        fallback_violation = violation;
+                        fallback_seq0 = first;
+                    }
                 }
-            } else {
-                let violation = safety - min_buf;
-                if violation < fallback_violation {
-                    fallback_violation = violation;
-                    fallback_seq0 = seq[0];
-                }
-            }
-        });
+            },
+        );
         if any_safe {
             best_seq0
         } else {
@@ -185,6 +192,9 @@ impl AbrAlgorithm for PandaCq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, random_context, Coverage};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use vbr_video::{Dataset, Manifest};
 
     fn ctx_with<'a>(
@@ -291,5 +301,56 @@ mod tests {
         let mut cq = PandaCq::max_min(&video, VmafModel::Phone);
         let level = cq.choose_level(&ctx_with(&m, 30.0, 3.0e6, m.n_chunks() - 1));
         assert!(level < m.n_tracks());
+    }
+
+    #[test]
+    fn matches_brute_force_reference() {
+        let mut rng = StdRng::seed_from_u64(0x5043_4321);
+        let mut coverage = Coverage::default();
+        let mut fallbacks = 0usize;
+        for video in [Dataset::ed_ffmpeg_h264(), Dataset::ed_youtube_h264()] {
+            let m = Manifest::from_video(&video);
+            for mut cq in [
+                PandaCq::max_sum(&video, VmafModel::Phone),
+                PandaCq::max_min(&video, VmafModel::Phone),
+            ] {
+                for _ in 0..1_000 {
+                    let ctx = random_context(&mut rng, &m, &[], &mut coverage);
+                    let (expected, any_safe) =
+                        reference::panda_level(&cq.quality, cq.objective, &cq.config, &ctx);
+                    fallbacks += usize::from(!any_safe);
+                    assert_eq!(
+                        cq.choose_level(&ctx),
+                        expected,
+                        "{} at chunk {} (buffer {}, bw {:?}, visible {})",
+                        cq.name(),
+                        ctx.chunk_index,
+                        ctx.buffer_s,
+                        ctx.estimated_bandwidth_bps,
+                        ctx.visible_chunks
+                    );
+                }
+            }
+        }
+        coverage.assert_all_seen();
+        assert!(
+            fallbacks > 0,
+            "no context exercised the no-safe-plan fallback"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "(1..=MAX_HORIZON).contains(&config.horizon)")]
+    fn horizon_above_cap_panics_at_construction() {
+        let video = Dataset::ed_youtube_h264();
+        let _ = PandaCq::from_video(
+            &video,
+            VmafModel::Phone,
+            PandaCqObjective::MaxSum,
+            PandaCqConfig {
+                horizon: MAX_HORIZON + 1,
+                ..PandaCqConfig::default()
+            },
+        );
     }
 }
