@@ -17,9 +17,7 @@
 //!
 //! In **hold** mode the fleet opens every session before driving any of
 //! them (two [`Barrier`]s), so the server really holds `sessions`
-//! concurrent sessions — the soak acceptance criterion. Hold mode needs a
-//! server worker pool at least as large as `connections`, because each
-//! worker owns one connection for its lifetime.
+//! concurrent sessions — the soak acceptance criterion.
 //!
 //! **Chaos mode**: an optional seeded [`FaultConfig`] turns the fleet into
 //! a deterministic adversary. Every `period`-th frame send on a connection
@@ -90,8 +88,7 @@ use vbr_video::quality::VmafModel;
 pub struct LoadgenConfig {
     /// Total sessions to run.
     pub sessions: usize,
-    /// Client connections (threads) carrying them. In hold mode this must
-    /// not exceed the server's worker-pool size.
+    /// Client connections (threads) carrying them.
     pub connections: usize,
     /// Master seed: shuffles arrival order and derives per-session trace
     /// seeds (`seed + session_index`).
@@ -1315,8 +1312,7 @@ fn drive_connection_pipeline(
     }
 
     // The fleet now holds every session; the leader samples the server's
-    // count over its own connection (a fresh dial would need a free server
-    // worker, which a fully-held threaded backend does not have).
+    // count over its own connection.
     let leader = shared.barrier.wait().is_leader();
     if leader && fatal.is_none() {
         if let Some(io) = io.as_mut() {

@@ -5,8 +5,8 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use abr_serve::protocol::{
-    decode_frame, encode_frame, read_frame, read_frame_budgeted, write_frame, ErrorCode, Frame,
-    StatsSnapshot, WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_frame, encode_frame, read_frame, write_frame, ErrorCode, Frame, StatsSnapshot,
+    WireError, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use abr_sim::{DecisionRequest, DecisionResponse};
 use std::io::Cursor;
@@ -338,12 +338,13 @@ fn oversized_bodies_are_rejected_at_encode_time() {
 }
 
 // ---------------------------------------------------------------------------
-// Partial-frame delivery: slow peers against the budgeted reader.
+// Partial-frame delivery: slow peers against the blocking reader.
 // ---------------------------------------------------------------------------
 
 /// A reader that trickles its bytes out in tiny chunks with a fixed number
-/// of poll timeouts (`WouldBlock`) between them — a slow client as seen
-/// through a socket armed with a kernel read timeout.
+/// of empty polls between them — a slow client as seen through a socket
+/// armed with a kernel read timeout. The stalls cycle through every kind
+/// the reader retries: `TimedOut`, `WouldBlock`, `Interrupted`.
 struct Trickle {
     data: Vec<u8>,
     pos: usize,
@@ -368,7 +369,12 @@ impl std::io::Read for Trickle {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.pending_stalls > 0 {
             self.pending_stalls -= 1;
-            return Err(std::io::Error::from(std::io::ErrorKind::WouldBlock));
+            let kind = match self.pending_stalls % 3 {
+                0 => std::io::ErrorKind::TimedOut,
+                1 => std::io::ErrorKind::WouldBlock,
+                _ => std::io::ErrorKind::Interrupted,
+            };
+            return Err(std::io::Error::from(kind));
         }
         if self.pos >= self.data.len() {
             return Ok(0);
@@ -389,12 +395,11 @@ fn trickled_frame_with_stalls_decodes_exactly_one_frame() {
     };
     let wire = encode_frame(&frame).unwrap();
     // One byte per read, three empty polls between bytes: dozens of
-    // partial deliveries, but byte progress keeps refilling the budget, so
-    // a budget of 4 idle slots suffices for the whole frame.
+    // partial deliveries, every stall retried, one frame out.
     let mut slow = Trickle::new(wire, 1, 3);
-    assert_eq!(read_frame_budgeted(&mut slow, 4).unwrap(), frame);
+    assert_eq!(read_frame(&mut slow).unwrap(), frame);
     // No spurious second frame, no leftover error: the stream now ends.
-    assert_eq!(read_frame_budgeted(&mut slow, 4), Err(WireError::Closed));
+    assert_eq!(read_frame(&mut slow), Err(WireError::Closed));
 }
 
 #[test]
@@ -407,38 +412,5 @@ fn mid_body_eof_is_truncation_not_a_hang() {
     // Cut the stream in the middle of the body (after the prefix).
     let cut = wire[..wire.len() / 2].to_vec();
     let mut slow = Trickle::new(cut, 1, 2);
-    assert_eq!(read_frame_budgeted(&mut slow, 8), Err(WireError::Truncated));
-}
-
-#[test]
-fn a_silent_peer_exhausts_the_idle_budget() {
-    /// Delivers a fixed prefix, then times out on every poll forever.
-    struct Stalled {
-        head: Vec<u8>,
-        pos: usize,
-    }
-    impl std::io::Read for Stalled {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos < self.head.len() {
-                let n = (self.head.len() - self.pos).min(buf.len());
-                buf[..n].copy_from_slice(&self.head[self.pos..self.pos + n]);
-                self.pos += n;
-                return Ok(n);
-            }
-            Err(std::io::Error::from(std::io::ErrorKind::TimedOut))
-        }
-    }
-    // Silent from the very first byte.
-    let mut mute = Stalled {
-        head: Vec::new(),
-        pos: 0,
-    };
-    assert_eq!(read_frame_budgeted(&mut mute, 5), Err(WireError::TimedOut));
-    // Silent after half a frame — the classic slow-loris shape.
-    let wire = encode_frame(&Frame::StatsReq).unwrap();
-    let mut loris = Stalled {
-        head: wire[..wire.len() - 1].to_vec(),
-        pos: 0,
-    };
-    assert_eq!(read_frame_budgeted(&mut loris, 5), Err(WireError::TimedOut));
+    assert_eq!(read_frame(&mut slow), Err(WireError::Truncated));
 }

@@ -17,9 +17,9 @@
 //!    summary metrics land in `results/journal/<run_id>.json` (see
 //!    [`journal`] for the schema).
 //!
-//! Run everything: `cargo run -p abr-bench --release --bin all_experiments`.
-//! Each `fig*`/`table*`/`exp_*` binary is a thin wrapper that drives one
-//! registry entry through [`engine::run_ids`].
+//! Run everything: `cargo run -p abr-bench --release --bin all_experiments`;
+//! `all_experiments <id>…` drives just those registry entries through
+//! [`engine::run_ids`].
 //!
 //! Environment knobs (for quick iteration): `TRACES` (trace count per set,
 //! default 200), `RESULTS_DIR` (default `results`).

@@ -472,14 +472,12 @@ pub fn trace_stats(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cava serve [--addr A] [--backend reactor|threaded] [--threads N]
-/// [--shards N] [--capacity N] [--queue N] [--read-deadline-ms MS]
-/// [--write-deadline-ms MS] [--poll-ms MS] [--port-file PATH]`
+/// `cava serve [--addr A] [--threads N] [--shards N] [--capacity N]
+/// [--read-deadline-ms MS] [--write-deadline-ms MS] [--poll-ms MS]
+/// [--port-file PATH] [--record PATH]`
 ///
-/// Blocks until a client sends a `Shutdown` frame. The backend defaults to
-/// the `ABR_SERVE_BACKEND` environment variable (then `reactor`; `threaded`
-/// selects the deprecated thread-per-connection pool). Thread count
-/// defaults to `ABR_SERVE_THREADS` (then 8); the deadlines default to
+/// Blocks until a client sends a `Shutdown` frame. Thread count defaults
+/// to `ABR_SERVE_THREADS` (then 8); the deadlines default to
 /// `ABR_SERVE_READ_DEADLINE_MS` / `ABR_SERVE_WRITE_DEADLINE_MS` /
 /// `ABR_SERVE_POLL_MS` (then 120000 / 30000 / 20). A deadline of 0
 /// disables it. `--shards` sets the session-store shard count (default 8).
@@ -487,11 +485,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&[
         "addr",
-        "backend",
         "threads",
         "shards",
         "capacity",
-        "queue",
         "read-deadline-ms",
         "write-deadline-ms",
         "poll-ms",
@@ -500,20 +496,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     ])?;
     args.expect_positionals(0, "serve [--addr A] [--threads N] [--capacity N]")?;
     let addr = args.flag("addr").unwrap_or("127.0.0.1:0");
-    let backend = match args.flag("backend") {
-        None => abr_serve::server::backend_from_env(),
-        Some("reactor") => abr_serve::Backend::Reactor,
-        Some("threaded") => abr_serve::Backend::Threaded,
-        Some(other) => {
-            return Err(format!(
-                "--backend must be reactor or threaded, got {other}"
-            ))
-        }
-    };
     let threads: usize = args.flag_parsed("threads", abr_serve::server::threads_from_env())?;
     let shards: usize = args.flag_parsed("shards", StoreConfig::default().shards)?;
     let capacity: usize = args.flag_parsed("capacity", StoreConfig::default().capacity)?;
-    let queue_depth: usize = args.flag_parsed("queue", 64)?;
     let read_deadline_ms: u64 = args.flag_parsed(
         "read-deadline-ms",
         abr_serve::server::read_deadline_from_env(),
@@ -532,16 +517,11 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     if capacity == 0 {
         return Err("--capacity must be at least 1".to_string());
     }
-    if queue_depth == 0 {
-        return Err("--queue must be at least 1".to_string());
-    }
     if poll_ms == 0 {
         return Err("--poll-ms must be at least 1".to_string());
     }
     let config = ServerConfig {
-        backend,
         threads,
-        queue_depth,
         read_deadline_ms,
         write_deadline_ms,
         poll_ms,
@@ -550,6 +530,7 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
             shards,
             ..StoreConfig::default()
         },
+        ..ServerConfig::default()
     };
     // --record wins over the ABR_SERVE_RECORD env default; either names
     // the replay-log path, see docs/REPLAY.md.
@@ -573,12 +554,8 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
     let bound = Server::bind_recorded(addr, config, dataset_provider(), recorder.clone())
         .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
-        "serving on {} ({} backend, {} threads, session capacity {}, {} shards)",
+        "serving on {} ({} threads, session capacity {}, {} shards)",
         bound.addr(),
-        match backend {
-            abr_serve::Backend::Reactor => "reactor",
-            abr_serve::Backend::Threaded => "threaded",
-        },
         threads,
         capacity,
         shards

@@ -44,7 +44,7 @@ COMMANDS:
         [--duration SECS] [--threads N] [--phone W] [--tv W]
         [--network W,W,W,W] [--live FRAC] [--video NAME] [--csv FILE]
     serve                            multi-session ABR decision service (TCP)
-        [--addr A] [--threads N] [--capacity N] [--queue N] [--port-file F]
+        [--addr A] [--threads N] [--capacity N] [--port-file F]
         [--record FILE]
     loadgen <addr>                   drive a fleet of players at a server
         [--sessions N] [--connections C] [--seed S] [--videos csv]
@@ -55,7 +55,7 @@ COMMANDS:
                                       exits nonzero on any divergence)
 
 ENVIRONMENT:
-    ABR_SERVE_THREADS                default worker count for `serve`
+    ABR_SERVE_THREADS                default thread count for `serve`
     ABR_SERVE_RECORD                 default `serve` event-log path
                                      (`--record` wins; see docs/REPLAY.md)
 

@@ -62,19 +62,12 @@ cargo test -q -p abr-sim --features strict-invariants
 echo "==> cargo test -p cava-core --features strict-invariants"
 cargo test -q -p cava-core --features strict-invariants
 
-echo "==> abr-serve suite on the deprecated threaded backend"
-# Until the threaded core is removed (deprecation window: one release,
-# see CONTRIBUTING.md) the whole abr-serve suite must stay green on it.
-# Tests that exist to pin reactor-only behaviour set the backend
-# explicitly and ignore this override.
-ABR_SERVE_BACKEND=threaded cargo test -q -p abr-serve
-
 echo "==> allocation discipline (counted-alloc: allocator + hot-path tests)"
 # The decision hot path must stay allocation-free (see ARCHITECTURE.md
 # "Hot-path memory discipline"). The counted-alloc feature builds the
 # counting global allocator into these test binaries; they prove zero
 # steady-state allocations for SessionStore::decide, for decide round
-# trips over a real socket on both backends, and for the simulator's
+# trips over a real socket against the reactor, and for the simulator's
 # per-step path. The BENCH_alloc.json exact gate below holds the same
 # numbers against the committed baseline.
 cargo test -q -p counted-alloc
@@ -144,42 +137,41 @@ echo "==> record -> replay -> diff smoke (docs/REPLAY.md)"
 ./target/release/cava replay "$REPLAY_LOG" --seek 1000
 ./target/release/cava replay "$REPLAY_LOG" --diff "$REPLAY_LOG"
 
-echo "==> cross-backend equivalence (threaded vs reactor, same CAVR log)"
-# The deprecated thread-per-connection core and the reactor must be
-# behaviourally indistinguishable: a same-seed serial fleet recorded on
-# each backend yields byte-identical event logs, and the threaded log
-# replays through in-process re-execution with zero divergence. The two
-# logs stay under results/ so CI can upload them as artifacts when the
-# diff pins a divergent event.
-OLD_LOG="results/check_backend_threaded.replay"
-NEW_LOG="results/check_backend_reactor.replay"
-rm -f "$OLD_LOG" "$NEW_LOG"
-for BACKEND in threaded reactor; do
+echo "==> golden fleet record -> replay -> diff (same CAVR log every run)"
+# A same-seed serial fleet recorded twice yields byte-identical event
+# logs, and the log replays through in-process re-execution with zero
+# divergence. tests/serve_golden.rs pins the same fleet's log to a
+# digest; this step drives it through the real binaries. The two logs
+# stay under results/ so CI can upload them as artifacts when the diff
+# pins a divergent event.
+FIRST_LOG="results/check_fleet_first.replay"
+SECOND_LOG="results/check_fleet_second.replay"
+rm -f "$FIRST_LOG" "$SECOND_LOG"
+for LOG in "$FIRST_LOG" "$SECOND_LOG"; do
     PORT_FILE="$(mktemp)"
     rm -f "$PORT_FILE"
-    ./target/release/cava serve --addr 127.0.0.1:0 --backend "$BACKEND" \
-        --threads 4 --record "results/check_backend_$BACKEND.replay" \
-        --port-file "$PORT_FILE" &
+    ./target/release/cava serve --addr 127.0.0.1:0 --threads 4 \
+        --record "$LOG" --port-file "$PORT_FILE" &
     SERVE_PID=$!
     tries=0
     while [ ! -s "$PORT_FILE" ]; do
         tries=$((tries + 1))
         if [ "$tries" -gt 200 ]; then
-            echo "serve ($BACKEND) never wrote its address" >&2
+            echo "serve never wrote its address" >&2
             kill "$SERVE_PID" 2>/dev/null || true
             exit 1
         fi
         sleep 0.05
     done
-    # One connection keeps the event order deterministic across backends.
+    # One connection keeps the event order deterministic across runs.
     ./target/release/cava loadgen "$(cat "$PORT_FILE")" \
         --sessions 12 --connections 1 --schemes cava,bola,rba \
         --hold true --parity true --stop-server true > /dev/null
     wait "$SERVE_PID"
     rm -f "$PORT_FILE"
 done
-./target/release/cava replay "$OLD_LOG"
-./target/release/cava replay "$OLD_LOG" --diff "$NEW_LOG"
+./target/release/cava replay "$FIRST_LOG"
+./target/release/cava replay "$FIRST_LOG" --diff "$SECOND_LOG"
 
 echo "==> README throughput number matches committed BENCH_serve.json"
 # The README quotes the headline decisions/s; a re-baseline that forgets
@@ -213,8 +205,7 @@ echo "==> bench perf gate (fresh BENCH_*.json vs committed, tolerance ${BENCH_TO
 # the fresh documents against the committed trajectory with bench_gate
 # (>BENCH_TOLERANCE% regression in decisions/sec or p99 latency fails).
 # Documents not committed yet (first revision on a branch) are skipped.
-cargo build -q --release -p abr-bench --bin exp_serve_soak --bin exp_serve_chaos \
-    --bin exp_population --bin bench_gate
+cargo build -q --release -p abr-bench --bin all_experiments --bin bench_gate
 # exp_alloc_gate needs its own invocation: only this binary installs the
 # counting global allocator, and the measuring implementation only builds
 # with the counted-alloc feature.
@@ -230,11 +221,11 @@ for doc in BENCH_serve.json BENCH_serve_chaos.json BENCH_population.json \
     fi
 done
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
-    "$REPO_ROOT/target/release/exp_serve_soak" > /dev/null)
+    "$REPO_ROOT/target/release/all_experiments" serve_soak > /dev/null)
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
-    "$REPO_ROOT/target/release/exp_serve_chaos" > /dev/null)
+    "$REPO_ROOT/target/release/all_experiments" serve_chaos > /dev/null)
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" POP_SCALE=20000 \
-    "$REPO_ROOT/target/release/exp_population" > /dev/null)
+    "$REPO_ROOT/target/release/all_experiments" population > /dev/null)
 (cd "$GATE_FRESH" && RESULTS_DIR="$GATE_FRESH/results" \
     "$REPO_ROOT/target/release/exp_alloc_gate" > /dev/null)
 # Keep the fresh alloc document under results/ so CI can upload it as an
