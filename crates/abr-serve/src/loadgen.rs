@@ -7,13 +7,14 @@
 //! same seed, same fleet, regardless of how many client connections carry
 //! it.
 //!
-//! Each session is the real simulator running with a remote-ABR adapter
-//! in the algorithm seat: every `choose_level` becomes a `Decide` frame on
-//! the wire. That makes the **decision parity** check exact — after the
-//! remote session completes, the same seed is replayed fully in-process
-//! and the two [`SessionResult`]s must compare equal, byte for byte. Any
-//! divergence between the serving layer and the simulator (history drift,
-//! float truncation, state reuse) fails the comparison.
+//! Each session is the real simulator, suspended at every decision point
+//! by an [`abr_sim::SessionStepper`]: every `choose_level` becomes a
+//! `Decide` frame on the wire, and the served level is applied back. That
+//! makes the **decision parity** check exact — after the drive, the same
+//! seed is replayed fully in-process and the two [`SessionResult`]s must
+//! compare equal, byte for byte. Any divergence between the serving layer
+//! and the simulator (history drift, float truncation, state reuse) fails
+//! the comparison.
 //!
 //! In **hold** mode the fleet opens every session before driving any of
 //! them (two [`Barrier`]s), so the server really holds `sessions`
@@ -25,7 +26,7 @@
 //! a truncated write followed by a hard close, or a connection reset
 //! between frames. The client then does what a real player would: retries
 //! with capped exponential backoff, reconnects, and re-attaches its
-//! sessions with `ResumeSession` before resending the failed frame. The
+//! sessions with `ResumeSession` before resending the failed wave. The
 //! server's retransmission dedup makes the resend exactly-once, so the
 //! decision parity check must **still pass under every injected fault** —
 //! that is the point of the whole exercise.
@@ -42,19 +43,22 @@
 //! abandons are recorded as [`Event::Seek`]/[`Event::SessionAbandon`]
 //! annotations when a recorder is attached.
 //!
-//! **Pipeline mode**: setting [`LoadgenConfig::pipeline`] above 1 switches
-//! each connection from one round trip per decision to a batched wave
-//! drive built on [`abr_sim::SessionStepper`]. The connection opens all of
-//! its sessions (in batched waves), then repeatedly collects the next
-//! `DecisionRequest` from up to `pipeline` live sessions, writes them as
-//! one flush, and reads the responses back in order — turning `pipeline`
-//! decisions into a single syscall pair instead of `pipeline` round trips.
-//! The in-flight window is bounded by `pipeline` so client and server
-//! buffers can never mutually fill (no write–write deadlock). Sessions are
-//! independent, so wave results are byte-identical to the serial drive;
-//! per-decision latency is the wave's round-trip time. Pipeline mode is
-//! clean-path only (fault injection requires `pipeline == 1`) and always
-//! holds its sessions open for the whole drive.
+//! **The window**: every connection runs one drive with
+//! [`LoadgenConfig::pipeline`] slots. A slot carries one session at a time
+//! and keeps it until its stepper ends, then takes the next pending
+//! session. Each wave writes one frame per busy slot, flushes once, and
+//! reads the replies back in order, so `pipeline` decisions cost one
+//! syscall pair instead of `pipeline` round trips. The in-flight window is
+//! bounded by `pipeline`, so client and server buffers can never mutually
+//! fill (no write–write deadlock). Hold mode opens (and later closes) the
+//! connection's sessions in waves of `pipeline`; arrival mode opens a
+//! session when a slot takes it and closes it when it ends, so at most
+//! `pipeline` sessions per connection are open at once. At pipeline 1 the
+//! drive is serial — each session runs to completion before the next one
+//! starts — and that is the order the golden CAVR logs pin. Sessions are
+//! independent, so every pipeline width yields byte-identical session
+//! records; per-decision latency is the wave's round-trip time. Fault
+//! injection requires pipeline 1.
 //!
 //! No wall clock is read here: latency measurement comes from the injected
 //! `now` closure (backed by the bench journal's `Stopwatch` in real use).
@@ -68,10 +72,7 @@ use crate::scheme;
 use crate::store::{VideoHandle, VideoProvider};
 use crate::{lock, protocol};
 use abr_pop::{Cohort, PopConfig, Population};
-use abr_sim::{
-    AbrAlgorithm, DecisionContext, DecisionRequest, PlayerConfig, SessionControl, SessionResult,
-    SessionStepper, Simulator,
-};
+use abr_sim::{PlayerConfig, SessionControl, SessionResult, SessionStepper, Simulator};
 use net_trace::lte::{lte_trace, LteConfig};
 use sim_report::stats::percentile;
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,11 +116,11 @@ pub struct LoadgenConfig {
     /// regimes, player configs, and VMAF models; `videos` and `schemes`
     /// are still assigned round-robin by population index.
     pub population: Option<PopConfig>,
-    /// Decisions batched per flush on each connection. `1` (the default)
-    /// drives sessions serially, one round trip per decision, and is the
-    /// only setting chaos mode accepts. Above 1 the connection switches to
-    /// the batched wave drive; keep `pipeline × ~100 B` under the socket
-    /// buffer (≤ 512 is always safe).
+    /// Slots per connection: how many sessions one connection drives at
+    /// once, and so how many frames each wave batches into one flush. `1`
+    /// (the default) drives sessions one after another, one round trip
+    /// per decision, and is the only setting chaos mode accepts. Keep
+    /// `pipeline × ~100 B` under the socket buffer (≤ 512 is always safe).
     pub pipeline: usize,
     /// Check decision parity on every `parity_every`-th session id
     /// (`session_id % parity_every == 0`). `1` checks every session
@@ -318,6 +319,39 @@ impl SessionOutcome {
             error: None,
         }
     }
+
+    /// Read the reply to this session's `Decide` and return the level to
+    /// apply. A failed decision records the session's error and answers
+    /// the lowest level, so the session can finish locally.
+    fn decided(
+        &mut self,
+        reply: Result<&Frame, &str>,
+        n_tracks: usize,
+        latency_s: f64,
+        faulted: bool,
+    ) -> usize {
+        match reply {
+            Ok(Frame::Decision {
+                session_id,
+                response,
+            }) if *session_id == self.plan.session_id => {
+                self.latencies_s.push(latency_s);
+                self.latency_faulted.push(faulted);
+                self.degraded |= response.degraded;
+                if response.level < n_tracks {
+                    return response.level;
+                }
+                self.error = Some(format!(
+                    "server chose level {} outside 0..{n_tracks}",
+                    response.level
+                ));
+            }
+            Ok(Frame::Error { code, message }) => self.error = Some(format!("{code:?}: {message}")),
+            Ok(other) => self.error = Some(format!("unexpected reply {other:?}")),
+            Err(e) => self.error = Some(e.to_string()),
+        }
+        0
+    }
 }
 
 /// The fleet's collected results, outcomes in session-id order.
@@ -325,15 +359,19 @@ impl SessionOutcome {
 pub struct LoadgenReport {
     /// One entry per planned session, ordered by session id.
     pub outcomes: Vec<SessionOutcome>,
-    /// Wall time of the whole drive (connect through last close), from the
-    /// injected clock.
+    /// Wall time of the whole run (connect through last close and the
+    /// parity replays), from the injected clock.
     pub wall_time_s: f64,
-    /// Wall time of the *decision-serving* phase alone — the widest
-    /// barrier-to-barrier drive window across connections, excluding
-    /// opens, closes, and parity replays. Throughput rates divide by this.
+    /// Wall time of the *decision-serving* phase — the widest drive
+    /// window across connections. Parity replays never count. In hold mode
+    /// the window runs barrier to barrier and excludes opens and closes; in
+    /// arrival mode it also spans each session's open and close, which
+    /// interleave with the decisions. Throughput rates divide by this.
     pub drive_wall_s: f64,
-    /// Sessions the server held concurrently, sampled at the hold point
-    /// (pipeline mode only; `None` in the serial drive).
+    /// Sessions the server held concurrently, sampled at the hold point.
+    /// Hold mode above pipeline 1 only: at pipeline 1 the sample's extra
+    /// frames would change the recorded log, and arrival mode has no hold
+    /// point.
     pub held_sessions: Option<u64>,
     /// Server counters sampled after the drive.
     pub server_stats: Option<StatsSnapshot>,
@@ -489,8 +527,8 @@ pub fn plan(config: &LoadgenConfig) -> Result<Vec<SessionPlan>, LoadgenError> {
         ));
     }
     if config.pipeline > 1 && config.faults.is_some() {
-        // Chaos needs the serial drive: the retry/resume machinery owns
-        // the wire one operation at a time.
+        // Chaos stays at one slot: faults across a wider wave have no
+        // evidence behind them yet.
         return Err(LoadgenError::BadConfig(
             "fault injection requires pipeline 1".into(),
         ));
@@ -634,12 +672,12 @@ struct Conn {
     /// server-side with the ack lost, or reaped. A close retry hitting one
     /// of these is a success, not an error.
     lost: BTreeSet<u64>,
-    /// Whether the last completed `call` needed more than one attempt.
-    last_call_retried: bool,
-    /// Whether the last completed `call` absorbed an injected fault —
+    /// Whether the last completed wave needed more than one attempt.
+    last_wave_retried: bool,
+    /// Whether the last completed wave absorbed an injected fault —
     /// retried after a kill, or stalled in place. Feeds the per-decision
     /// clean/faulted latency split.
-    last_call_faulted: bool,
+    last_wave_faulted: bool,
     stats: ClientStats,
     /// This connection's 0-based fleet index, stamped into recorded
     /// fault-injection events.
@@ -668,8 +706,8 @@ impl Conn {
             opened: Vec::new(),
             degraded_hint: BTreeMap::new(),
             lost: BTreeSet::new(),
-            last_call_retried: false,
-            last_call_faulted: false,
+            last_wave_retried: false,
+            last_wave_faulted: false,
             stats: ClientStats::default(),
             index: index as u64,
             recorder,
@@ -762,60 +800,70 @@ impl Conn {
         Some(kind)
     }
 
-    /// One request/response attempt, injecting the scheduled fault when
-    /// this is the operation's first try — retries always run clean, so a
-    /// faulted operation cannot starve itself.
-    fn try_call(&mut self, frame: &Frame, allow_fault: bool) -> Result<Frame, LoadgenError> {
-        let fault = if allow_fault { self.next_fault() } else { None };
-        self.last_call_faulted |= fault.is_some();
+    /// One attempt at a wave: every frame is written, drawing the
+    /// scheduled fault per frame send when this is the wave's first try —
+    /// retries always run clean, so a faulted wave cannot starve itself —
+    /// then one flush, then the replies are read back in order.
+    fn try_exchange(
+        &mut self,
+        frames: &[Frame],
+        replies: &mut Vec<Frame>,
+        allow_fault: bool,
+    ) -> Result<(), LoadgenError> {
         let stall_ms = self.faults.map_or(0, |f| f.stall_ms);
-        match fault {
-            None => {
-                let io = self.ensure_connected()?;
-                io.send(frame)?;
-                io.recv()
-            }
-            Some(FaultKind::Stall) => {
-                let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
-                let split = (bytes.len() / 2).max(1);
-                self.stats.stalls += 1;
-                let io = self.ensure_connected()?;
-                io.send_raw(&bytes[..split])?;
-                thread::sleep(Duration::from_millis(stall_ms));
-                io.send_raw(&bytes[split..])?;
-                io.recv()
-            }
-            Some(FaultKind::Truncate) => {
-                let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
-                let split = (bytes.len() / 2).max(1);
-                self.stats.truncated_writes += 1;
-                let io = self.ensure_connected()?;
-                let _ = io.send_raw(&bytes[..split]);
-                self.io = None;
-                Err(LoadgenError::Io("injected truncated write".into()))
-            }
-            Some(FaultKind::Reset) => {
-                self.stats.resets += 1;
-                self.io = None;
-                Err(LoadgenError::Io("injected connection reset".into()))
+        for frame in frames {
+            let fault = if allow_fault { self.next_fault() } else { None };
+            self.last_wave_faulted |= fault.is_some();
+            match fault {
+                None => self.ensure_connected()?.send_buffered(frame)?,
+                Some(FaultKind::Stall) => {
+                    let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
+                    let split = (bytes.len() / 2).max(1);
+                    self.stats.stalls += 1;
+                    let io = self.ensure_connected()?;
+                    io.send_raw(&bytes[..split])?;
+                    thread::sleep(Duration::from_millis(stall_ms));
+                    io.send_raw(&bytes[split..])?;
+                }
+                Some(FaultKind::Truncate) => {
+                    let bytes = protocol::encode_frame(frame).map_err(LoadgenError::Wire)?;
+                    let split = (bytes.len() / 2).max(1);
+                    self.stats.truncated_writes += 1;
+                    let io = self.ensure_connected()?;
+                    let _ = io.send_raw(&bytes[..split]);
+                    self.io = None;
+                    return Err(LoadgenError::Io("injected truncated write".into()));
+                }
+                Some(FaultKind::Reset) => {
+                    self.stats.resets += 1;
+                    self.io = None;
+                    return Err(LoadgenError::Io("injected connection reset".into()));
+                }
             }
         }
+        let io = self.ensure_connected()?;
+        io.flush()?;
+        for _ in frames {
+            replies.push(io.recv()?);
+        }
+        Ok(())
     }
 
-    /// Send `frame` and wait for its reply, retrying with capped
-    /// exponential backoff after transport failures (reconnecting and
-    /// resuming sessions in between). Application-level `Error` frames
-    /// come back as `Ok` for the caller to interpret — except
-    /// [`ErrorCode::Timeout`], which means the server reaped this
-    /// connection and is transport-level by nature.
-    fn call(&mut self, frame: &Frame) -> Result<Frame, String> {
+    /// Send one wave of frames and read their replies, in order, into
+    /// `replies`, retrying the whole wave with capped exponential backoff
+    /// after a transport failure (reconnecting and resuming sessions in
+    /// between). Without a fault plan there is a single attempt.
+    /// Application-level `Error` replies come back as `Ok` for the caller
+    /// to interpret — except [`ErrorCode::Timeout`], which means the
+    /// server reaped this connection and is transport-level by nature.
+    fn exchange(&mut self, frames: &[Frame], replies: &mut Vec<Frame>) -> Result<(), String> {
         let max_attempts = self.faults.map_or(0, |f| f.max_retries) + 1;
-        self.last_call_retried = false;
-        self.last_call_faulted = false;
+        self.last_wave_retried = false;
+        self.last_wave_faulted = false;
         let mut last_err = String::new();
         for attempt in 0..max_attempts {
             if attempt > 0 {
-                self.last_call_retried = true;
+                self.last_wave_retried = true;
                 self.stats.retries += 1;
                 if let Some(f) = self.faults {
                     let backoff = f
@@ -825,18 +873,22 @@ impl Conn {
                     thread::sleep(Duration::from_millis(backoff));
                 }
             }
-            match self.try_call(frame, attempt == 0) {
-                Ok(Frame::Error {
-                    code: ErrorCode::Timeout,
-                    message,
-                }) => {
+            replies.clear();
+            let failure = match self.try_exchange(frames, replies, attempt == 0) {
+                Ok(()) => replies.iter().find_map(|reply| match reply {
+                    Frame::Error {
+                        code: ErrorCode::Timeout,
+                        message,
+                    } => Some(format!("server reaped connection: {message}")),
+                    _ => None,
+                }),
+                Err(e) => Some(e.to_string()),
+            };
+            match failure {
+                None => return Ok(()),
+                Some(e) => {
                     self.io = None;
-                    last_err = format!("server reaped connection: {message}");
-                }
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    self.io = None;
-                    last_err = e.to_string();
+                    last_err = e;
                 }
             }
         }
@@ -848,192 +900,83 @@ impl Conn {
         self.lost.remove(&sid);
     }
 
-    /// Open a session (with retries). The id goes on the resume list
-    /// *before* the first send, so a reconnect mid-open re-attaches a
-    /// half-acknowledged session instead of leaking it; a retry landing on
-    /// `DuplicateSession` after that resume is therefore a success.
+    /// The `OpenSession` frame for `plan`. The id goes on the resume list
+    /// *before* the frame is sent, so a reconnect mid-open re-attaches a
+    /// half-acknowledged session instead of leaking it.
     // abr-lint: cold — once-per-session control traffic, not the decision loop
-    fn open(&mut self, plan: &SessionPlan, vmaf: u8) -> Result<bool, String> {
-        let sid = plan.session_id;
-        if !self.opened.contains(&sid) {
-            self.opened.push(sid);
+    fn open_frame(&mut self, plan: &SessionPlan, vmaf: VmafModel) -> Frame {
+        if !self.opened.contains(&plan.session_id) {
+            self.opened.push(plan.session_id);
         }
-        let result = self.call(&Frame::OpenSession {
-            session_id: sid,
+        Frame::OpenSession {
+            session_id: plan.session_id,
             video: plan.video.clone(),
             scheme: plan.scheme.clone(),
-            vmaf_model: vmaf,
-        });
-        match result {
+            vmaf_model: scheme::vmaf_model_code(vmaf),
+        }
+    }
+
+    /// Read the reply to session `sid`'s `OpenSession`: its degraded flag,
+    /// or its error. A retried open landing on `DuplicateSession` is a
+    /// success, because the reconnect's resume pass already re-attached
+    /// the session.
+    // abr-lint: cold — once-per-session control traffic, not the decision loop
+    fn opened(&mut self, sid: u64, reply: Result<&Frame, &str>) -> Result<bool, String> {
+        let error = match reply {
             Ok(Frame::OpenOk {
                 session_id,
                 degraded,
                 ..
-            }) if session_id == sid => Ok(degraded),
+            }) if *session_id == sid => return Ok(*degraded),
             Ok(Frame::Error {
                 code: ErrorCode::DuplicateSession,
                 ..
-            }) if self.last_call_retried => {
+            }) if self.last_wave_retried => {
                 self.lost.remove(&sid);
-                Ok(self.degraded_hint.get(&sid).copied().unwrap_or(false))
+                return Ok(self.degraded_hint.get(&sid).copied().unwrap_or(false));
             }
-            Ok(Frame::Error { code, message }) => {
-                self.forget(sid);
-                Err(format!("{code:?}: {message}"))
-            }
-            Ok(other) => {
-                self.forget(sid);
-                Err(format!("unexpected reply {other:?}"))
-            }
-            Err(e) => {
-                self.forget(sid);
-                Err(e)
-            }
-        }
+            Ok(Frame::Error { code, message }) => format!("{code:?}: {message}"),
+            Ok(other) => format!("unexpected reply {other:?}"),
+            Err(e) => e.to_string(),
+        };
+        self.forget(sid);
+        Err(error)
     }
 
-    /// Close a session (with retries). `None` decisions means the close
-    /// landed but its acknowledgement died with a connection — the
-    /// reconnect's resume pass already reported the session gone.
+    /// Read the reply to session `sid`'s `CloseSession`: its lifetime
+    /// decision count. `None` means the close landed but its
+    /// acknowledgement died with a connection — the reconnect's resume
+    /// pass already reported the session gone.
     // abr-lint: cold — once-per-session control traffic, not the decision loop
-    fn close(&mut self, sid: u64) -> Result<Option<u64>, String> {
-        let result = self.call(&Frame::CloseSession { session_id: sid });
+    fn closed(&mut self, sid: u64, reply: Result<&Frame, &str>) -> Result<Option<u64>, String> {
         let was_lost = self.lost.contains(&sid);
         self.forget(sid);
-        match result {
+        match reply {
             Ok(Frame::Closed {
                 session_id,
                 decisions,
-            }) if session_id == sid => Ok(Some(decisions)),
+            }) if *session_id == sid => Ok(Some(*decisions)),
             Ok(Frame::Error {
                 code: ErrorCode::UnknownSession,
                 ..
             }) if was_lost => Ok(None),
             Ok(Frame::Error { code, message }) => Err(format!("{code:?}: {message}")),
             Ok(other) => Err(format!("unexpected reply {other:?}")),
-            Err(e) => Err(e),
+            Err(e) => Err(e.to_string()),
         }
     }
 }
 
-/// The algorithm-seat adapter: every `choose_level` is a round trip.
-struct RemoteAbr<'a> {
-    conn: &'a mut Conn,
-    session_id: u64,
-    display_name: String,
-    now: &'a (dyn Fn() -> f64 + Sync),
-    latencies_s: Vec<f64>,
-    latency_faulted: Vec<bool>,
-    degraded: bool,
-    error: Option<String>,
-}
-
-impl AbrAlgorithm for RemoteAbr<'_> {
-    fn name(&self) -> &str {
-        // The local scheme's display name, so the remote SessionResult is
-        // comparable field-for-field with the parity replay.
-        &self.display_name
+/// Reply `k` of a wave, or the wave's transport error.
+fn wave_reply<'r>(
+    result: &'r Result<(), String>,
+    replies: &'r [Frame],
+    k: usize,
+) -> Result<&'r Frame, &'r str> {
+    match result {
+        Ok(()) => Ok(&replies[k]),
+        Err(e) => Err(e),
     }
-
-    // abr-lint: cold — performs a real network round-trip by design
-    fn choose_level(&mut self, ctx: &DecisionContext) -> usize {
-        if self.error.is_some() {
-            // The session already failed; finish the replay locally at the
-            // lowest level instead of hammering a broken connection.
-            return 0;
-        }
-        let request = DecisionRequest::from_context(ctx);
-        let t0 = (self.now)();
-        match self.conn.call(&Frame::Decide {
-            session_id: self.session_id,
-            request,
-        }) {
-            Ok(Frame::Decision {
-                session_id,
-                response,
-            }) if session_id == self.session_id => {
-                self.latencies_s.push((self.now)() - t0);
-                self.latency_faulted
-                    .push(self.conn.last_call_faulted || self.conn.last_call_retried);
-                self.degraded |= response.degraded;
-                if response.level < ctx.manifest.n_tracks() {
-                    response.level
-                } else {
-                    self.error = Some(format!(
-                        "server chose level {} outside 0..{}",
-                        response.level,
-                        ctx.manifest.n_tracks()
-                    ));
-                    0
-                }
-            }
-            Ok(Frame::Error { code, message }) => {
-                self.error = Some(format!("{code:?}: {message}"));
-                0
-            }
-            Ok(other) => {
-                self.error = Some(format!("unexpected reply {other:?}"));
-                0
-            }
-            Err(e) => {
-                self.error = Some(e);
-                0
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        // Server-side state was fresh at OpenSession; nothing to clear.
-    }
-}
-
-/// Drive one opened session to completion and (optionally) replay it
-/// in-process for the parity verdict.
-fn drive_session(
-    conn: &mut Conn,
-    out: &mut SessionOutcome,
-    config: &LoadgenConfig,
-    provider: &VideoProvider,
-    now: &(dyn Fn() -> f64 + Sync),
-) {
-    let Some(handle) = provider(&out.plan.video) else {
-        out.error = Some(format!("provider lost video {:?}", out.plan.video));
-        return;
-    };
-    let vmaf = out.plan.vmaf(config.vmaf_model);
-    let mut local = match scheme::build_scheme(&out.plan.scheme, &handle.video, vmaf) {
-        Ok(algo) => algo,
-        Err(e) => {
-            out.error = Some(e);
-            return;
-        }
-    };
-    let trace = out.plan.trace();
-    let control = out.plan.control.clone();
-    let sim = Simulator::new(out.plan.player(config.player));
-    let mut remote = RemoteAbr {
-        conn,
-        session_id: out.plan.session_id,
-        display_name: local.name().to_string(),
-        now,
-        latencies_s: Vec::new(),
-        latency_faulted: Vec::new(),
-        degraded: false,
-        error: None,
-    };
-    let result = sim.run_controlled(&mut remote, &handle.manifest, &trace, &control);
-    out.degraded |= remote.degraded;
-    out.latencies_s = remote.latencies_s;
-    out.latency_faulted = remote.latency_faulted;
-    out.error = remote.error;
-    if out.error.is_none() && parity_selected(config, out.plan.session_id) && !out.degraded {
-        let replay = sim.run_controlled(local.as_mut(), &handle.manifest, &trace, &control);
-        out.parity = Some(replay == result);
-    }
-    if let Some(recorder) = &conn.recorder {
-        record_behaviour(recorder, out.plan.session_id, &control, &result);
-    }
-    out.result = Some(result);
 }
 
 /// Should this session's decisions be parity-replayed in-process? Sampled
@@ -1076,10 +1019,11 @@ fn record_behaviour(
 /// the widest drive window seen, and the held-session sample.
 struct FleetShared {
     barrier: Barrier,
-    /// Widest first-barrier-to-second-barrier window across connections —
-    /// the denominator for decision throughput.
+    /// Widest drive window across connections — the denominator for
+    /// decision throughput.
     drive_wall_s: Mutex<f64>,
-    /// `open_sessions` sampled at the hold point (pipeline mode only).
+    /// `open_sessions` sampled at the hold point (hold mode above
+    /// pipeline 1 only).
     held_sessions: Mutex<Option<u64>>,
 }
 
@@ -1101,9 +1045,249 @@ impl FleetShared {
     }
 }
 
-/// One client connection's whole lifetime. Always hits every barrier the
-/// other connections will, even after a fatal connect error — otherwise a
-/// failed client would deadlock the fleet.
+/// Per-session owned state a slot's stepper borrows: the video, the
+/// network trace, the behaviour overlay, and the resolved player/VMAF
+/// configuration.
+struct SessionCtx {
+    handle: VideoHandle,
+    trace: net_trace::Trace,
+    control: SessionControl,
+    player: PlayerConfig,
+    vmaf: VmafModel,
+    /// The local scheme's display name, stamped into the remote result so
+    /// it compares field-for-field with the parity replay.
+    name: String,
+}
+
+impl SessionCtx {
+    fn resolve(
+        plan: &SessionPlan,
+        config: &LoadgenConfig,
+        provider: &VideoProvider,
+    ) -> Result<SessionCtx, String> {
+        let handle =
+            provider(&plan.video).ok_or_else(|| format!("provider lost video {:?}", plan.video))?;
+        let vmaf = plan.vmaf(config.vmaf_model);
+        let name = scheme::build_scheme(&plan.scheme, &handle.video, vmaf)?
+            .name()
+            .to_string();
+        Ok(SessionCtx {
+            trace: plan.trace(),
+            control: plan.control.clone(),
+            player: plan.player(config.player),
+            vmaf,
+            name,
+            handle,
+        })
+    }
+
+    /// A fresh stepper over this session.
+    fn stepper(&self) -> SessionStepper<'_> {
+        SessionStepper::new(
+            &Simulator::new(self.player),
+            &self.handle.manifest,
+            &self.trace,
+            &self.control,
+        )
+    }
+
+    /// The same session run fully in-process by a fresh `scheme` — the
+    /// parity reference.
+    fn replay(&self, scheme: &str) -> Result<SessionResult, String> {
+        let mut local = scheme::build_scheme(scheme, &self.handle.video, self.vmaf)?;
+        Ok(Simulator::new(self.player).run_controlled(
+            local.as_mut(),
+            &self.handle.manifest,
+            &self.trace,
+            &self.control,
+        ))
+    }
+}
+
+/// A session in a slot: its index among the connection's outcomes, its
+/// context, and the stepper borrowing that context. `open` turns true once
+/// the server has acknowledged the session (from the start in hold mode).
+struct Live<'a> {
+    index: usize,
+    ctx: &'a SessionCtx,
+    stepper: SessionStepper<'a>,
+    open: bool,
+}
+
+/// What a slot put in the current wave.
+#[derive(Clone, Copy)]
+enum Sent {
+    Open,
+    Decide,
+    /// `CloseSession` for the session at this outcome index, which has
+    /// already left its slot.
+    Close(usize),
+}
+
+/// Indices of the sessions that have not failed yet.
+fn unfailed(outcomes: &[SessionOutcome]) -> Vec<usize> {
+    (0..outcomes.len())
+        .filter(|&i| outcomes[i].error.is_none())
+        .collect()
+}
+
+/// Hold mode's open and close phases: one control frame per session,
+/// `width` frames per wave, each reply handed to `reply` in order.
+fn control_waves(
+    conn: &mut Conn,
+    outcomes: &mut [SessionOutcome],
+    sessions: &[usize],
+    width: usize,
+    frame: impl Fn(&mut Conn, &SessionOutcome) -> Frame,
+    reply: impl Fn(&mut Conn, &mut SessionOutcome, Result<&Frame, &str>),
+) {
+    let mut frames = Vec::with_capacity(width);
+    let mut replies = Vec::with_capacity(width);
+    for batch in sessions.chunks(width) {
+        frames.clear();
+        for &i in batch {
+            frames.push(frame(conn, &outcomes[i]));
+        }
+        let result = conn.exchange(&frames, &mut replies);
+        for (k, &i) in batch.iter().enumerate() {
+            reply(conn, &mut outcomes[i], wave_reply(&result, &replies, k));
+        }
+    }
+}
+
+/// The drive: `width` slots, each carrying one session at a time from
+/// `pending` until its stepper ends. Every wave writes one frame per busy
+/// slot, flushes once, and reads the replies back in order. In arrival
+/// mode (`hold` false) a slot opens the session it takes and closes it
+/// when it ends; in hold mode the sessions are already open.
+///
+/// At width 1 this is the serial order: each session runs to completion
+/// before the next one starts.
+fn drive_slots<'a>(
+    conn: &mut Conn,
+    outcomes: &mut [SessionOutcome],
+    mut pending: impl Iterator<Item = (usize, &'a SessionCtx)>,
+    hold: bool,
+    width: usize,
+    now: &(dyn Fn() -> f64 + Sync),
+) {
+    let mut slots: Vec<Option<Live<'a>>> = (0..width).map(|_| None).collect();
+    let mut wave: Vec<(usize, Sent)> = Vec::with_capacity(width);
+    let mut frames: Vec<Frame> = Vec::with_capacity(width);
+    let mut replies: Vec<Frame> = Vec::with_capacity(width);
+    loop {
+        // Fill the wave: advance each slot until it has a frame to send or
+        // no session is left for it.
+        wave.clear();
+        frames.clear();
+        for (s, slot) in slots.iter_mut().enumerate() {
+            loop {
+                let mut live = match slot.take() {
+                    Some(live) => live,
+                    None => match pending.next() {
+                        Some((index, ctx)) => Live {
+                            index,
+                            ctx,
+                            stepper: ctx.stepper(),
+                            open: hold,
+                        },
+                        None => break,
+                    },
+                };
+                let out = &mut outcomes[live.index];
+                if !live.open {
+                    frames.push(conn.open_frame(&out.plan, live.ctx.vmaf));
+                    wave.push((s, Sent::Open));
+                    *slot = Some(live);
+                    break;
+                }
+                match live.stepper.next_request() {
+                    Some(request) if out.error.is_none() => {
+                        frames.push(Frame::Decide {
+                            session_id: out.plan.session_id,
+                            request,
+                        });
+                        wave.push((s, Sent::Decide));
+                        *slot = Some(live);
+                        break;
+                    }
+                    // A failed session finishes locally at the lowest
+                    // level, so its record and annotations still complete.
+                    Some(_) => {
+                        live.stepper.apply_level(0);
+                        *slot = Some(live);
+                    }
+                    None => {
+                        let result = live.stepper.into_result(&live.ctx.name);
+                        if let Some(recorder) = &conn.recorder {
+                            record_behaviour(
+                                recorder,
+                                out.plan.session_id,
+                                &live.ctx.control,
+                                &result,
+                            );
+                        }
+                        out.result = Some(result);
+                        if !hold && out.error.is_none() {
+                            frames.push(Frame::CloseSession {
+                                session_id: out.plan.session_id,
+                            });
+                            wave.push((s, Sent::Close(live.index)));
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        if frames.is_empty() {
+            return;
+        }
+
+        let t0 = now();
+        let result = conn.exchange(&frames, &mut replies);
+        // Every decision in the wave shares its round trip.
+        let rtt = now() - t0;
+        let faulted = conn.last_wave_faulted || conn.last_wave_retried;
+        for (k, &(s, sent)) in wave.iter().enumerate() {
+            let reply = wave_reply(&result, &replies, k);
+            let slot = &mut slots[s];
+            match (sent, slot.as_mut()) {
+                (Sent::Open, Some(live)) => {
+                    let out = &mut outcomes[live.index];
+                    match conn.opened(out.plan.session_id, reply) {
+                        Ok(degraded) => {
+                            out.degraded = degraded;
+                            live.open = true;
+                        }
+                        Err(e) => {
+                            out.error = Some(e);
+                            *slot = None;
+                        }
+                    }
+                }
+                (Sent::Decide, Some(live)) => {
+                    let n_tracks = live.ctx.handle.manifest.n_tracks();
+                    let level = outcomes[live.index].decided(reply, n_tracks, rtt, faulted);
+                    live.stepper.apply_level(level);
+                }
+                (Sent::Close(index), _) => {
+                    let out = &mut outcomes[index];
+                    match conn.closed(out.plan.session_id, reply) {
+                        Ok(decisions) => out.closed_decisions = decisions,
+                        Err(e) => out.error = Some(e),
+                    }
+                }
+                (Sent::Open | Sent::Decide, None) => {}
+            }
+        }
+    }
+}
+
+/// One client connection's whole lifetime: resolve its sessions, open,
+/// drive and close them through [`drive_slots`] with `pipeline` slots,
+/// then run the parity replays outside the drive window. Always hits every
+/// barrier the other connections will, even after a fatal connect error —
+/// otherwise a failed client would deadlock the fleet.
 #[allow(clippy::too_many_arguments)]
 fn drive_connection(
     addr: SocketAddr,
@@ -1119,7 +1303,6 @@ fn drive_connection(
         .iter()
         .map(|p| SessionOutcome::new(p.clone()))
         .collect();
-    let vmaf = |out: &SessionOutcome| scheme::vmaf_model_code(out.plan.vmaf(config.vmaf_model));
     let mut conn = Conn::new(addr, index, config.faults, recorder);
     let mut fatal = None;
     if let Err(e) = conn.connect_now() {
@@ -1128,402 +1311,93 @@ fn drive_connection(
         }
         fatal = Some(e);
     }
-    let alive = fatal.is_none();
-
-    if config.hold {
-        if alive {
-            for out in &mut outcomes {
-                match conn.open(&out.plan, vmaf(out)) {
-                    Ok(degraded) => out.degraded = degraded,
-                    Err(e) => out.error = Some(e),
-                }
-            }
-        }
-        shared.barrier.wait();
-        let t_drive = now();
-        if alive {
-            for out in &mut outcomes {
-                if out.error.is_none() {
-                    drive_session(&mut conn, out, config, provider, now);
-                }
-            }
-        }
-        shared.note_drive(now() - t_drive);
-        shared.barrier.wait();
-        if alive {
-            for out in &mut outcomes {
-                if out.error.is_none() {
-                    match conn.close(out.plan.session_id) {
-                        Ok(decisions) => out.closed_decisions = decisions,
-                        Err(e) => out.error = Some(e),
-                    }
-                }
-            }
-        }
-    } else if alive {
-        // Arrival mode has no hold phase: the drive window spans the whole
-        // open→drive→close loop.
-        let t_drive = now();
-        for out in &mut outcomes {
-            match conn.open(&out.plan, vmaf(out)) {
-                Ok(degraded) => out.degraded = degraded,
-                Err(e) => {
-                    out.error = Some(e);
-                    continue;
-                }
-            }
-            drive_session(&mut conn, out, config, provider, now);
-            if out.error.is_none() {
-                match conn.close(out.plan.session_id) {
-                    Ok(decisions) => out.closed_decisions = decisions,
-                    Err(e) => out.error = Some(e),
-                }
-            }
-        }
-        shared.note_drive(now() - t_drive);
-    }
-    (outcomes, fatal, conn.stats)
-}
-
-/// Per-session owned state the pipeline steppers borrow: the video, the
-/// network trace, the behaviour overlay, and the resolved player/VMAF
-/// configuration.
-struct PipeCtx {
-    handle: VideoHandle,
-    trace: net_trace::Trace,
-    control: SessionControl,
-    player: PlayerConfig,
-    vmaf: VmafModel,
-    /// The local scheme's display name, stamped into the remote result so
-    /// it compares field-for-field with the parity replay.
-    name: String,
-}
-
-/// One connection's lifetime in pipeline mode: batched opens, the wave
-/// drive, batched closes, then parity replays. Clean-path only — `plan()`
-/// rejects fault injection above pipeline 1 — so transport errors are
-/// fatal to the connection rather than retried, exactly like a serial
-/// no-fault run.
-fn drive_connection_pipeline(
-    addr: SocketAddr,
-    plans: &[SessionPlan],
-    config: &LoadgenConfig,
-    provider: &VideoProvider,
-    now: &(dyn Fn() -> f64 + Sync),
-    shared: &FleetShared,
-    recorder: Option<Arc<Recorder>>,
-) -> (Vec<SessionOutcome>, Option<LoadgenError>, ClientStats) {
-    let mut outcomes: Vec<SessionOutcome> = plans
-        .iter()
-        .map(|p| SessionOutcome::new(p.clone()))
-        .collect();
-    let mut stats = ClientStats::default();
-    let mut fatal: Option<LoadgenError> = None;
-
-    let mut io = match FrameIo::connect(addr).and_then(|mut io| {
-        io.handshake()?;
-        Ok(io)
-    }) {
-        Ok(io) => {
-            stats.sockopt_errors += io.sockopt_errors;
-            Some(io)
-        }
-        Err(e) => {
-            fatal = Some(e);
-            None
-        }
-    };
-
     // Resolve every session's context up front; failures stay per-session.
-    let ctxs: Vec<Option<PipeCtx>> = outcomes
+    let ctxs: Vec<Option<SessionCtx>> = outcomes
         .iter_mut()
         .map(|out| {
-            io.as_ref()?;
-            let Some(handle) = provider(&out.plan.video) else {
-                out.error = Some(format!("provider lost video {:?}", out.plan.video));
+            if out.error.is_some() {
                 return None;
-            };
-            let vmaf = out.plan.vmaf(config.vmaf_model);
-            let name = match scheme::build_scheme(&out.plan.scheme, &handle.video, vmaf) {
-                Ok(algo) => algo.name().to_string(),
-                Err(e) => {
-                    out.error = Some(e);
-                    return None;
-                }
-            };
-            Some(PipeCtx {
-                trace: out.plan.trace(),
-                control: out.plan.control.clone(),
-                player: out.plan.player(config.player),
-                vmaf,
-                name,
-                handle,
-            })
+            }
+            SessionCtx::resolve(&out.plan, config, provider)
+                .map_err(|e| out.error = Some(e))
+                .ok()
         })
         .collect();
+    let with_ctx = |sessions: Vec<usize>| {
+        let ctxs = &ctxs;
+        sessions
+            .into_iter()
+            .filter_map(move |i| Some((i, ctxs[i].as_ref()?)))
+    };
+    let width = config.pipeline;
 
-    // Batched opens: `pipeline` OpenSession frames per flush, replies read
-    // back in request order.
-    if let Some(io) = io.as_mut() {
-        let openable: Vec<usize> = (0..outcomes.len())
-            .filter(|&i| ctxs[i].is_some() && outcomes[i].error.is_none())
-            .collect();
-        'open: for batch in openable.chunks(config.pipeline) {
-            for &i in batch {
-                let out = &outcomes[i];
-                let frame = Frame::OpenSession {
-                    session_id: out.plan.session_id,
-                    video: out.plan.video.clone(),
-                    scheme: out.plan.scheme.clone(),
-                    vmaf_model: scheme::vmaf_model_code(
-                        ctxs[i].as_ref().expect("openable ctx").vmaf,
-                    ),
-                };
-                if let Err(e) = io.send_buffered(&frame) {
-                    fatal = Some(e);
-                    break 'open;
-                }
-            }
-            if let Err(e) = io.flush() {
-                fatal = Some(e);
-                break 'open;
-            }
-            for &i in batch {
-                let sid = outcomes[i].plan.session_id;
-                match io.recv() {
-                    Ok(Frame::OpenOk {
-                        session_id,
-                        degraded,
-                        ..
-                    }) if session_id == sid => outcomes[i].degraded = degraded,
-                    Ok(Frame::Error { code, message }) => {
-                        outcomes[i].error = Some(format!("{code:?}: {message}"));
-                    }
-                    Ok(other) => {
-                        outcomes[i].error = Some(format!("unexpected reply {other:?}"));
-                    }
-                    Err(e) => {
-                        fatal = Some(e);
-                        break 'open;
-                    }
-                }
-            }
-        }
-    }
-
-    // The fleet now holds every session; the leader samples the server's
-    // count over its own connection.
-    let leader = shared.barrier.wait().is_leader();
-    if leader && fatal.is_none() {
-        if let Some(io) = io.as_mut() {
-            if let Ok(Frame::StatsReply(s)) = io.call(&Frame::StatsReq) {
+    if config.hold {
+        let opening = unfailed(&outcomes);
+        control_waves(
+            &mut conn,
+            &mut outcomes,
+            &opening,
+            width,
+            |conn, out| conn.open_frame(&out.plan, out.plan.vmaf(config.vmaf_model)),
+            |conn, out, reply| match conn.opened(out.plan.session_id, reply) {
+                Ok(degraded) => out.degraded = degraded,
+                Err(e) => out.error = Some(e),
+            },
+        );
+        // The fleet now holds every session; the leader samples the
+        // server's count over its own connection. Pipeline 1 skips the
+        // sample, so its recorded log carries no extra frames.
+        let leader = shared.barrier.wait().is_leader();
+        if leader && width > 1 && fatal.is_none() {
+            if let Ok(Frame::StatsReply(s)) = conn
+                .ensure_connected()
+                .and_then(|io| io.call(&Frame::StatsReq))
+            {
                 *lock(&shared.held_sessions) = Some(s.open_sessions);
             }
         }
-    }
-    let t_drive = now();
-
-    if fatal.is_none() {
-        if let Some(io) = io.as_mut() {
-            // Steppers borrow the contexts built above; one per session
-            // that opened cleanly.
-            let mut steppers: Vec<Option<SessionStepper<'_>>> = ctxs
-                .iter()
-                .zip(&outcomes)
-                .map(|(ctx, out)| {
-                    let ctx = ctx.as_ref()?;
-                    if out.error.is_some() {
-                        return None;
-                    }
-                    Some(SessionStepper::new(
-                        &Simulator::new(ctx.player),
-                        &ctx.handle.manifest,
-                        &ctx.trace,
-                        &ctx.control,
-                    ))
-                })
-                .collect();
-            let mut active: Vec<usize> = (0..steppers.len())
-                .filter(|&i| steppers[i].is_some())
-                .collect();
-            let mut wave: Vec<usize> = Vec::with_capacity(config.pipeline);
-            let mut survivors: Vec<usize> = Vec::with_capacity(config.pipeline);
-            'drive: while !active.is_empty() {
-                let mut next_active = Vec::with_capacity(active.len());
-                let mut cursor = 0;
-                while cursor < active.len() {
-                    // Fill one wave: the next `pipeline` live sessions'
-                    // requests, written as a single flush. Steppers that
-                    // report the session over fold into their result here.
-                    wave.clear();
-                    while cursor < active.len() && wave.len() < config.pipeline {
-                        let i = active[cursor];
-                        cursor += 1;
-                        let stepper = steppers[i].as_mut().expect("active stepper");
-                        match stepper.next_request() {
-                            Some(request) => {
-                                let frame = Frame::Decide {
-                                    session_id: outcomes[i].plan.session_id,
-                                    request,
-                                };
-                                if let Err(e) = io.send_buffered(&frame) {
-                                    fatal = Some(e);
-                                    break 'drive;
-                                }
-                                wave.push(i);
-                            }
-                            None => {
-                                let stepper = steppers[i].take().expect("finished stepper");
-                                let name = &ctxs[i].as_ref().expect("ctx for stepper").name;
-                                outcomes[i].result = Some(stepper.into_result(name));
-                            }
-                        }
-                    }
-                    if wave.is_empty() {
-                        continue;
-                    }
-                    let t0 = now();
-                    if let Err(e) = io.flush() {
-                        fatal = Some(e);
-                        break 'drive;
-                    }
-                    survivors.clear();
-                    for &i in &wave {
-                        let sid = outcomes[i].plan.session_id;
-                        match io.recv() {
-                            Ok(Frame::Decision {
-                                session_id,
-                                response,
-                            }) if session_id == sid => {
-                                let n_tracks =
-                                    ctxs[i].as_ref().expect("ctx").handle.manifest.n_tracks();
-                                if response.level < n_tracks {
-                                    outcomes[i].degraded |= response.degraded;
-                                    steppers[i]
-                                        .as_mut()
-                                        .expect("pending stepper")
-                                        .apply_level(response.level);
-                                    survivors.push(i);
-                                } else {
-                                    outcomes[i].error = Some(format!(
-                                        "server chose level {} outside 0..{n_tracks}",
-                                        response.level
-                                    ));
-                                    steppers[i] = None;
-                                }
-                            }
-                            Ok(Frame::Error { code, message }) => {
-                                outcomes[i].error = Some(format!("{code:?}: {message}"));
-                                steppers[i] = None;
-                            }
-                            Ok(other) => {
-                                outcomes[i].error = Some(format!("unexpected reply {other:?}"));
-                                steppers[i] = None;
-                            }
-                            Err(e) => {
-                                fatal = Some(e);
-                                break 'drive;
-                            }
-                        }
-                    }
-                    // Every decision in the wave shares its round trip.
-                    let rtt = now() - t0;
-                    for &i in &survivors {
-                        outcomes[i].latencies_s.push(rtt);
-                        outcomes[i].latency_faulted.push(false);
-                        next_active.push(i);
-                    }
-                }
-                active = next_active;
-            }
-        }
-    }
-    shared.note_drive(now() - t_drive);
-    shared.barrier.wait();
-
-    // Batched closes, same wave shape as the opens.
-    if fatal.is_none() {
-        if let Some(io) = io.as_mut() {
-            let closable: Vec<usize> = (0..outcomes.len())
-                .filter(|&i| outcomes[i].error.is_none() && ctxs[i].is_some())
-                .collect();
-            'close: for batch in closable.chunks(config.pipeline) {
-                for &i in batch {
-                    let frame = Frame::CloseSession {
-                        session_id: outcomes[i].plan.session_id,
-                    };
-                    if let Err(e) = io.send_buffered(&frame) {
-                        fatal = Some(e);
-                        break 'close;
-                    }
-                }
-                if let Err(e) = io.flush() {
-                    fatal = Some(e);
-                    break 'close;
-                }
-                for &i in batch {
-                    let sid = outcomes[i].plan.session_id;
-                    match io.recv() {
-                        Ok(Frame::Closed {
-                            session_id,
-                            decisions,
-                        }) if session_id == sid => {
-                            outcomes[i].closed_decisions = Some(decisions);
-                        }
-                        Ok(Frame::Error { code, message }) => {
-                            outcomes[i].error = Some(format!("{code:?}: {message}"));
-                        }
-                        Ok(other) => {
-                            outcomes[i].error = Some(format!("unexpected reply {other:?}"));
-                        }
-                        Err(e) => {
-                            fatal = Some(e);
-                            break 'close;
-                        }
-                    }
-                }
-            }
-        }
+        let t_drive = now();
+        let streaming = with_ctx(unfailed(&outcomes));
+        drive_slots(&mut conn, &mut outcomes, streaming, true, width, now);
+        shared.note_drive(now() - t_drive);
+        shared.barrier.wait();
+        let closing = unfailed(&outcomes);
+        control_waves(
+            &mut conn,
+            &mut outcomes,
+            &closing,
+            width,
+            |_, out| Frame::CloseSession {
+                session_id: out.plan.session_id,
+            },
+            |conn, out, reply| match conn.closed(out.plan.session_id, reply) {
+                Ok(decisions) => out.closed_decisions = decisions,
+                Err(e) => out.error = Some(e),
+            },
+        );
+    } else {
+        // Arrival mode has no hold phase: the drive window spans every
+        // open, decision and close.
+        let t_drive = now();
+        let arriving = with_ctx(unfailed(&outcomes));
+        drive_slots(&mut conn, &mut outcomes, arriving, false, width, now);
+        shared.note_drive(now() - t_drive);
     }
 
-    // A dead connection fails every session it had not fully finished.
-    if let Some(e) = &fatal {
-        for out in &mut outcomes {
-            if out.error.is_none() && out.closed_decisions.is_none() {
-                out.error = Some(format!("connection failed: {e}"));
-            }
-        }
-    }
-
-    // Parity replays and behaviour annotations run outside the drive
-    // window — they are local work, not serving load.
+    // Parity replays run outside the drive window — they are local work,
+    // not serving load.
     for (ctx, out) in ctxs.iter().zip(&mut outcomes) {
-        let Some(ctx) = ctx.as_ref() else { continue };
-        let Some(result) = out.result.take() else {
+        let (Some(ctx), Some(result)) = (ctx, &out.result) else {
             continue;
         };
-        if let Some(recorder) = &recorder {
-            record_behaviour(recorder, out.plan.session_id, &ctx.control, &result);
-        }
-        if out.error.is_none() && parity_selected(config, out.plan.session_id) && !out.degraded {
-            match scheme::build_scheme(&out.plan.scheme, &ctx.handle.video, ctx.vmaf) {
-                Ok(mut local) => {
-                    let sim = Simulator::new(ctx.player);
-                    let replay = sim.run_controlled(
-                        local.as_mut(),
-                        &ctx.handle.manifest,
-                        &ctx.trace,
-                        &ctx.control,
-                    );
-                    out.parity = Some(replay == result);
-                }
+        if out.error.is_none() && !out.degraded && parity_selected(config, out.plan.session_id) {
+            match ctx.replay(&out.plan.scheme) {
+                Ok(replay) => out.parity = Some(replay == *result),
                 Err(e) => out.error = Some(e),
             }
         }
-        out.result = Some(result);
     }
-
-    (outcomes, fatal, stats)
+    (outcomes, fatal, conn.stats)
 }
 
 /// Run the fleet against the server at `addr`. Latency and wall time come
@@ -1566,13 +1440,8 @@ pub fn run_recorded(
             let client_stats = &client_stats;
             let recorder = recorder.clone();
             scope.spawn(move || {
-                let (outcomes, err, stats) = if config.pipeline > 1 {
-                    drive_connection_pipeline(
-                        addr, &my_plans, config, provider, now, shared, recorder,
-                    )
-                } else {
-                    drive_connection(addr, t, &my_plans, config, provider, now, shared, recorder)
-                };
+                let (outcomes, err, stats) =
+                    drive_connection(addr, t, &my_plans, config, provider, now, shared, recorder);
                 let mut slots = lock(collected);
                 for out in outcomes {
                     let idx = (out.plan.session_id - 1) as usize;

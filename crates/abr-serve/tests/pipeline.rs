@@ -1,8 +1,9 @@
-//! Pipeline-drive equivalence: the batched wave drive must be a pure
-//! optimization. Same fleet, same seeds — pipelined decisions, serial
-//! decisions, one connection or eight — every session record comes back
-//! byte-identical, because sessions are independent and the server's
-//! per-session state machine never sees the difference.
+//! Pipeline equivalence: the width of the load generator's window must be
+//! a pure optimization. Same fleet, same seeds — pipelined decisions,
+//! serial decisions, one connection or eight, held or arriving — every
+//! session record comes back byte-identical, because sessions are
+//! independent and the server's per-session state machine never sees the
+//! difference.
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use abr_serve::loadgen::{self, LoadgenConfig, LoadgenReport};
@@ -32,7 +33,7 @@ fn server_config() -> ServerConfig {
     }
 }
 
-fn run_fleet(connections: usize, pipeline: usize) -> LoadgenReport {
+fn run_fleet(connections: usize, pipeline: usize, hold: bool) -> LoadgenReport {
     let bound = Server::bind("127.0.0.1:0", server_config(), dataset_provider()).unwrap();
     let addr = bound.addr();
     let server = thread::spawn(move || bound.serve());
@@ -42,7 +43,7 @@ fn run_fleet(connections: usize, pipeline: usize) -> LoadgenReport {
         connections,
         seed: 4242,
         schemes: vec!["cava".into(), "bola".into(), "rba".into()],
-        hold: true,
+        hold,
         parity: true,
         pipeline,
         ..LoadgenConfig::default()
@@ -76,24 +77,39 @@ fn assert_same_sessions(a: &LoadgenReport, b: &LoadgenReport, label: &str) {
 
 #[test]
 fn pipeline_drive_matches_serial_byte_for_byte() {
-    let serial = run_fleet(3, 1);
-    let pipelined = run_fleet(3, 16);
-    assert_same_sessions(&serial, &pipelined, "pipeline 16 vs serial");
-    // The server served the same decisions either way.
-    assert_eq!(serial.decisions(), pipelined.decisions());
-    for o in &pipelined.outcomes {
-        assert_eq!(o.closed_decisions, Some(o.latencies_s.len() as u64));
-        assert_eq!(o.latencies_s.len(), o.latency_faulted.len());
-        assert!(o.latency_faulted.iter().all(|&f| !f), "clean run faulted");
+    for hold in [true, false] {
+        let serial = run_fleet(3, 1, hold);
+        let pipelined = run_fleet(3, 16, hold);
+        let label = format!("pipeline 16 vs serial, hold {hold}");
+        assert_same_sessions(&serial, &pipelined, &label);
+        // The server served the same decisions either way.
+        assert_eq!(serial.decisions(), pipelined.decisions(), "{label}");
+        for o in &pipelined.outcomes {
+            assert_eq!(o.closed_decisions, Some(o.latencies_s.len() as u64));
+            assert_eq!(o.latencies_s.len(), o.latency_faulted.len());
+            assert!(o.latency_faulted.iter().all(|&f| !f), "clean run faulted");
+        }
+        // The hold sample saw the whole fleet held at once; arrival mode
+        // has no hold point to sample.
+        let held = if hold { Some(24) } else { None };
+        assert_eq!(pipelined.held_sessions, held, "{label}");
+        assert!(pipelined.drive_wall_s > 0.0);
     }
-    // The hold sample saw the whole fleet held at once.
-    assert_eq!(pipelined.held_sessions, Some(24));
-    assert!(pipelined.drive_wall_s > 0.0);
 }
 
 #[test]
 fn connection_striping_does_not_change_results() {
-    let one = run_fleet(1, 8);
-    let eight = run_fleet(8, 8);
+    let one = run_fleet(1, 8, true);
+    let eight = run_fleet(8, 8, true);
     assert_same_sessions(&one, &eight, "1 vs 8 connections");
+}
+
+#[test]
+fn arrival_mode_keeps_at_most_one_window_open_per_connection() {
+    // Arrival mode opens a session when a slot takes it and closes it
+    // when it ends, so a connection never has more than `pipeline`
+    // sessions open: 2 connections × 4 slots, not the whole fleet of 24.
+    let report = run_fleet(2, 4, false);
+    let peak = report.server_stats.unwrap().peak_sessions;
+    assert!(peak <= 8, "arrival fleet peaked at {peak} open sessions");
 }

@@ -614,10 +614,11 @@ fn csv_list(raw: &str) -> Vec<String> {
 /// session resume. Exits nonzero on any session error or parity mismatch —
 /// parity must hold even under faults.
 ///
-/// `--pipeline N` (default 1) batches N decisions per flush on each
-/// connection — the soak-scale drive. Results are byte-identical to the
-/// serial drive; faults require `--pipeline 1`. `--parity-every N` samples
-/// the in-process parity replay to every Nth session id.
+/// `--pipeline N` (default 1) gives each connection N slots: it drives N
+/// sessions at once and batches their frames into one flush per wave.
+/// Session results are byte-identical at every width; at 1 the sessions
+/// run one after another. Faults require `--pipeline 1`. `--parity-every
+/// N` samples the in-process parity replay to every Nth session id.
 pub fn loadgen(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv)?;
     args.ensure_known_flags(&[

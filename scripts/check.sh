@@ -98,6 +98,29 @@ done
 wait "$SERVE_PID"
 rm -f "$PORT_FILE"
 
+echo "==> pipelined arrival-mode population (200 viewers, 8 slots per connection)"
+PORT_FILE="$(mktemp)"
+rm -f "$PORT_FILE"
+./target/release/cava serve --addr 127.0.0.1:0 --threads 8 --port-file "$PORT_FILE" &
+SERVE_PID=$!
+tries=0
+while [ ! -s "$PORT_FILE" ]; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 200 ]; then
+        echo "serve never wrote its address" >&2
+        kill "$SERVE_PID" 2>/dev/null || true
+        exit 1
+    fi
+    sleep 0.05
+done
+# Each slot opens the viewer it takes and closes it when the viewer ends
+# or abandons; parity must hold for every viewer at pipeline 8 too.
+./target/release/cava loadgen "$(cat "$PORT_FILE")" \
+    --population 200 --connections 4 --pipeline 8 \
+    --hold false --parity true --stop-server true
+wait "$SERVE_PID"
+rm -f "$PORT_FILE"
+
 echo "==> chaos smoke (deadlines armed, faults injected, parity on, recorded)"
 REPLAY_LOG="results/check_chaos.replay"
 mkdir -p results
