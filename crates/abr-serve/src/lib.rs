@@ -14,8 +14,10 @@
 //! * [`protocol`] — the versioned, length-prefixed binary wire protocol:
 //!   explicit little-endian encode/decode, typed [`protocol::WireError`]s,
 //!   no ambient serialization.
-//! * [`scheme`] — the scheme registry ([`scheme::build_scheme`],
-//!   [`scheme::SCHEME_NAMES`]) and dataset loader shared with the CLI.
+//! * [`scheme`] — the scheme registry: [`scheme::SchemeKind`] is the one
+//!   constructor table the bench harness, the CLI, the store and replay
+//!   build from ([`scheme::build_scheme`] resolves wire names), plus the
+//!   dataset loader.
 //! * [`store`] — the multi-tenant session store: per-session boxed
 //!   [`abr_sim::AbrAlgorithm`] state, shared manifest handles,
 //!   capacity-bounded admission with idle eviction and a stateless RBA
@@ -30,6 +32,8 @@
 //! * [`loadgen`] — the deterministic fleet load generator: N simulated
 //!   players from `abr-sim` driven over real sockets with a seeded arrival
 //!   process, checking **decision parity** against same-seed in-process runs.
+//!   [`loadgen::run_loopback`] is the one in-process serve→drive→stop
+//!   harness; [`LoadgenReport::check`] is the shared fleet verdict.
 //! * [`replay`] — deterministic record/replay: a versioned, length-prefixed
 //!   event log of every frame, store transition, and fault injection, plus a
 //!   [`replay::ReplayPlayer`] that re-executes recorded runs tick-for-tick

@@ -60,6 +60,13 @@
 //! records; per-decision latency is the wave's round-trip time. Fault
 //! injection requires pipeline 1.
 //!
+//! **In process**: [`run_loopback`] serves a fleet from a server on an
+//! ephemeral loopback port and stops it again — bind, serve on a thread,
+//! [`run_recorded`], [`shutdown_server`], join — so every test and bench
+//! that only needs a fleet served and checked goes through the same call
+//! order, and a recorded run writes the same CAVR bytes whichever harness
+//! drove it. [`LoadgenReport::check`] is the verdict those runs apply.
+//!
 //! No wall clock is read here: latency measurement comes from the injected
 //! `now` closure (backed by the bench journal's `Stopwatch` in real use).
 //! Fault stalls and backoff use `thread::sleep`, which consumes time but
@@ -69,6 +76,7 @@
 use crate::protocol::{ErrorCode, Frame, StatsSnapshot, WireError, PROTOCOL_VERSION};
 use crate::replay::{Event, Recorder};
 use crate::scheme;
+use crate::server::{Server, ServerConfig};
 use crate::store::{VideoHandle, VideoProvider};
 use crate::{lock, protocol};
 use abr_pop::{Cohort, PopConfig, Population};
@@ -79,6 +87,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -456,6 +465,33 @@ impl LoadgenReport {
     /// carry injected stalls and backoff by design.
     pub fn clean_latency_percentile(&self, p: f64) -> Option<f64> {
         percentile(&self.clean_latencies(), p)
+    }
+
+    /// Sessions whose decisions were replayed in-process and compared.
+    pub fn parity_checked(&self) -> usize {
+        self.outcomes.iter().filter(|o| o.parity.is_some()).count()
+    }
+
+    /// The fleet verdict every served run applies before its numbers
+    /// count: `Err` names the errored-session count and the first error,
+    /// or else the parity-mismatch count and the first mismatched ids.
+    pub fn check(&self) -> Result<(), String> {
+        let errors = self.errors();
+        if let Some((id, error)) = errors.first() {
+            return Err(format!(
+                "{} sessions errored; first: session {id}: {error}",
+                errors.len()
+            ));
+        }
+        let mismatches = self.parity_mismatches();
+        if !mismatches.is_empty() {
+            return Err(format!(
+                "decision parity broken for {} sessions (ids {:?})",
+                mismatches.len(),
+                &mismatches[..mismatches.len().min(8)]
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1481,6 +1517,56 @@ pub fn run_recorded(
     })
 }
 
+/// Serve `fleet` from an in-process server on an ephemeral loopback port:
+/// bind (with `recorder`, if any), spawn
+/// [`BoundServer::serve`](crate::server::BoundServer::serve), drive with
+/// [`run_recorded`], send `Shutdown` and join the server. Returns the
+/// report and the server's final counters.
+///
+/// The server is shut down and joined whether or not the drive succeeds;
+/// the drive's error wins over a failed shutdown, and a panicked server
+/// thread is an `Err`, not a panic. Tests and benches that only need a
+/// seeded fleet served and checked use this; boot by hand only when the
+/// address must be known while the server runs.
+pub fn run_loopback(
+    server: ServerConfig,
+    fleet: &LoadgenConfig,
+    provider: &VideoProvider,
+    now: &(dyn Fn() -> f64 + Sync),
+    recorder: Option<Arc<Recorder>>,
+) -> Result<(LoadgenReport, StatsSnapshot), LoadgenError> {
+    with_loopback(server, provider, recorder.clone(), |addr| {
+        run_recorded(addr, fleet, provider, now, recorder)
+    })
+}
+
+/// [`run_loopback`] with the drive left open: boot, run `drive` against
+/// the bound address, then shut down and join.
+fn with_loopback<T>(
+    server: ServerConfig,
+    provider: &VideoProvider,
+    recorder: Option<Arc<Recorder>>,
+    drive: impl FnOnce(SocketAddr) -> Result<T, LoadgenError>,
+) -> Result<(T, StatsSnapshot), LoadgenError> {
+    let bound = Server::bind_recorded("127.0.0.1:0", server, Arc::clone(provider), recorder)
+        .map_err(|e| LoadgenError::Io(format!("binding loopback server: {e}")))?;
+    let addr = bound.addr();
+    let service = bound.server();
+    let serving = thread::spawn(move || bound.serve());
+    let driven = drive(addr);
+    let stopped = shutdown_server(addr);
+    if stopped.is_err() {
+        // No Shutdown frame got through: raise the latch directly so the
+        // join below cannot hang.
+        service.shutdown.store(true, Ordering::SeqCst);
+    }
+    let joined = serving.join();
+    let driven = driven?;
+    stopped?;
+    let stats = joined.map_err(|_| LoadgenError::Io("server thread panicked".into()))?;
+    Ok((driven, stats))
+}
+
 /// Sample the server's counters over a fresh connection.
 pub fn fetch_stats(addr: SocketAddr) -> Result<StatsSnapshot, LoadgenError> {
     let mut io = FrameIo::connect(addr)?;
@@ -1573,6 +1659,88 @@ mod tests {
         // it into the plans.
         assert!(a.iter().any(|p| p.control.abandon_at_s.is_some()));
         assert!(a.iter().any(|p| !p.control.seeks.is_empty()));
+    }
+
+    #[test]
+    fn check_names_the_first_error_before_the_mismatch_count() {
+        let fleet = LoadgenConfig {
+            sessions: 4,
+            ..LoadgenConfig::default()
+        };
+        let mut outcomes: Vec<SessionOutcome> = plan(&fleet)
+            .unwrap()
+            .into_iter()
+            .map(SessionOutcome::new)
+            .collect();
+        outcomes.sort_by_key(|o| o.plan.session_id);
+        let report = |outcomes: &[SessionOutcome]| LoadgenReport {
+            outcomes: outcomes.to_vec(),
+            wall_time_s: 0.0,
+            drive_wall_s: 0.0,
+            held_sessions: None,
+            server_stats: None,
+            client_stats: ClientStats::default(),
+        };
+        for o in &mut outcomes {
+            o.parity = Some(true);
+        }
+        assert_eq!(report(&outcomes).check(), Ok(()));
+        assert_eq!(report(&outcomes).parity_checked(), 4);
+
+        outcomes[1].parity = Some(false);
+        outcomes[3].parity = Some(false);
+        assert_eq!(
+            report(&outcomes).check(),
+            Err("decision parity broken for 2 sessions (ids [2, 4])".to_string())
+        );
+
+        // Errors outrank mismatches; the first errored session is named.
+        outcomes[2].parity = None;
+        outcomes[2].error = Some("connection reset".into());
+        outcomes[3].error = Some("later failure".into());
+        assert_eq!(
+            report(&outcomes).check(),
+            Err("2 sessions errored; first: session 3: connection reset".to_string())
+        );
+        assert_eq!(report(&outcomes).parity_checked(), 3);
+    }
+
+    #[test]
+    fn rejected_fleet_still_stops_and_joins_the_loopback_server() {
+        let server = ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        };
+        let provider = crate::store::dataset_provider();
+        let now = || 0.0;
+        let rejected = LoadgenConfig {
+            connections: 0,
+            ..LoadgenConfig::default()
+        };
+        let sink = crate::replay::MemoryLog::new();
+        let recorder = Arc::new(Recorder::new(Box::new(sink.clone())).unwrap());
+        let err =
+            run_loopback(server, &rejected, &provider, &now, Some(recorder.clone())).unwrap_err();
+        assert!(matches!(err, LoadgenError::BadConfig(_)), "{err}");
+        // The serving thread owned the server's recorder handles: it has
+        // been joined and its state dropped.
+        assert_eq!(Arc::strong_count(&recorder), 1);
+        recorder.finish().unwrap();
+        let log = crate::replay::decode_log(&sink.contents()).unwrap();
+        let frames_in = log.events.iter().filter(|r| r.event.kind() == "FrameIn");
+        assert_eq!(frames_in.count(), 2, "only the Hello and Shutdown dial");
+
+        // The same drive through the seam that exposes the address: once
+        // it returns, the port no longer accepts connections.
+        let mut bound_at = None;
+        let err = with_loopback(server, &provider, None, |addr| {
+            bound_at = Some(addr);
+            run(addr, &rejected, &provider, &now)
+        })
+        .unwrap_err();
+        assert!(matches!(err, LoadgenError::BadConfig(_)), "{err}");
+        let addr = bound_at.unwrap();
+        assert!(TcpStream::connect(addr).is_err(), "{addr} still accepts");
     }
 
     #[test]

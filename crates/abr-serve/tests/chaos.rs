@@ -42,10 +42,6 @@ fn chaos_server_config() -> ServerConfig {
 
 #[test]
 fn fleet_under_faults_keeps_full_parity() {
-    let bound = Server::bind("127.0.0.1:0", chaos_server_config(), dataset_provider()).unwrap();
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions: 36,
         connections: 4,
@@ -61,12 +57,15 @@ fn fleet_under_faults_keeps_full_parity() {
         }),
         ..LoadgenConfig::default()
     };
-    let provider = dataset_provider();
     let now = tick_clock();
-    let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-
-    loadgen::shutdown_server(addr).unwrap();
-    let stats = server.join().unwrap();
+    let (report, stats) = loadgen::run_loopback(
+        chaos_server_config(),
+        &config,
+        &dataset_provider(),
+        &now,
+        None,
+    )
+    .unwrap();
 
     // The chaos actually happened…
     let cs = report.client_stats;
@@ -95,7 +94,7 @@ fn fleet_under_faults_keeps_full_parity() {
     // cache, so the served count can exceed the fleet's unique decisions.
     assert!(stats.decisions >= report.decisions());
     assert_eq!(stats.open_sessions, 0);
-    assert_eq!(stats.sessions_opened + stats.degraded_opens as u64, 36);
+    assert_eq!(stats.sessions_opened + stats.degraded_opens, 36);
     assert_eq!(stats.sessions_closed, 36);
     assert_eq!(stats.degraded_opens, 0);
     // Resets/truncations drop connections mid-session; the orphan grace
@@ -207,9 +206,6 @@ fn trickling_connection_does_not_stall_healthy_sessions() {
 fn chaos_is_deterministic_run_to_run() {
     let mut reports = Vec::new();
     for _ in 0..2 {
-        let bound = Server::bind("127.0.0.1:0", chaos_server_config(), dataset_provider()).unwrap();
-        let addr = bound.addr();
-        let server = thread::spawn(move || bound.serve());
         let config = LoadgenConfig {
             sessions: 12,
             connections: 3,
@@ -225,11 +221,15 @@ fn chaos_is_deterministic_run_to_run() {
             }),
             ..LoadgenConfig::default()
         };
-        let provider = dataset_provider();
         let now = tick_clock();
-        let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-        loadgen::shutdown_server(addr).unwrap();
-        server.join().unwrap();
+        let (report, _) = loadgen::run_loopback(
+            chaos_server_config(),
+            &config,
+            &dataset_provider(),
+            &now,
+            None,
+        )
+        .unwrap();
         assert_eq!(report.errors(), vec![]);
         reports.push(report);
     }

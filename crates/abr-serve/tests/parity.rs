@@ -7,9 +7,8 @@
 
 use abr_serve::loadgen::{self, LoadgenConfig};
 use abr_serve::store::{dataset_provider, StoreConfig};
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
 
 /// A deterministic injected clock: strictly monotonic, no wall-time read.
 /// Latency values are synthetic ticks; parity does not depend on them.
@@ -32,10 +31,6 @@ fn server_config(threads: usize) -> ServerConfig {
 
 #[test]
 fn hundred_session_fleet_has_full_parity_over_tcp() {
-    let bound = Server::bind("127.0.0.1:0", server_config(4), dataset_provider()).unwrap();
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions: 102, // 34 sessions each for cava, bola, rba
         connections: 4,
@@ -45,12 +40,9 @@ fn hundred_session_fleet_has_full_parity_over_tcp() {
         parity: true,
         ..LoadgenConfig::default()
     };
-    let provider = dataset_provider();
     let now = tick_clock();
-    let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-
-    loadgen::shutdown_server(addr).unwrap();
-    let stats = server.join().unwrap();
+    let (report, stats) =
+        loadgen::run_loopback(server_config(4), &config, &dataset_provider(), &now, None).unwrap();
 
     assert_eq!(report.outcomes.len(), 102);
     assert_eq!(report.errors(), vec![], "sessions hit errors");
@@ -85,9 +77,6 @@ fn hundred_session_fleet_has_full_parity_over_tcp() {
 fn results_are_independent_of_connection_count() {
     let mut reports = Vec::new();
     for connections in [1, 3] {
-        let bound = Server::bind("127.0.0.1:0", server_config(4), dataset_provider()).unwrap();
-        let addr = bound.addr();
-        let server = thread::spawn(move || bound.serve());
         let config = LoadgenConfig {
             sessions: 12,
             connections,
@@ -97,11 +86,10 @@ fn results_are_independent_of_connection_count() {
             parity: false,
             ..LoadgenConfig::default()
         };
-        let provider = dataset_provider();
         let now = tick_clock();
-        let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-        loadgen::shutdown_server(addr).unwrap();
-        server.join().unwrap();
+        let (report, _) =
+            loadgen::run_loopback(server_config(4), &config, &dataset_provider(), &now, None)
+                .unwrap();
         assert_eq!(report.errors(), vec![]);
         reports.push(report);
     }

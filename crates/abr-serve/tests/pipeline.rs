@@ -8,9 +8,8 @@
 
 use abr_serve::loadgen::{self, LoadgenConfig, LoadgenReport};
 use abr_serve::store::{dataset_provider, StoreConfig};
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
 
 fn tick_clock() -> impl Fn() -> f64 + Sync {
     let ticks = AtomicU64::new(0);
@@ -34,10 +33,6 @@ fn server_config() -> ServerConfig {
 }
 
 fn run_fleet(connections: usize, pipeline: usize, hold: bool) -> LoadgenReport {
-    let bound = Server::bind("127.0.0.1:0", server_config(), dataset_provider()).unwrap();
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions: 24,
         connections,
@@ -48,11 +43,9 @@ fn run_fleet(connections: usize, pipeline: usize, hold: bool) -> LoadgenReport {
         pipeline,
         ..LoadgenConfig::default()
     };
-    let provider = dataset_provider();
     let now = tick_clock();
-    let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-    loadgen::shutdown_server(addr).unwrap();
-    server.join().unwrap();
+    let (report, _) =
+        loadgen::run_loopback(server_config(), &config, &dataset_provider(), &now, None).unwrap();
     assert_eq!(report.errors(), vec![], "fleet hit errors");
     assert_eq!(report.parity_mismatches(), vec![], "parity broken");
     report

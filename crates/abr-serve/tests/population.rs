@@ -8,9 +8,8 @@
 use abr_pop::{LifecycleConfig, PopConfig};
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
 use abr_serve::store::{dataset_provider, StoreConfig};
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
 
 fn tick_clock() -> impl Fn() -> f64 + Sync {
     let ticks = AtomicU64::new(0);
@@ -64,16 +63,16 @@ fn pop_loadgen_config(sessions: usize, faults: Option<FaultConfig>) -> LoadgenCo
 
 #[test]
 fn population_fleet_keeps_parity_with_seeks_and_abandons() {
-    let bound = Server::bind("127.0.0.1:0", pop_server_config(), dataset_provider()).unwrap();
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = pop_loadgen_config(24, None);
-    let provider = dataset_provider();
     let now = tick_clock();
-    let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-    loadgen::shutdown_server(addr).unwrap();
-    let stats = server.join().unwrap();
+    let (report, stats) = loadgen::run_loopback(
+        pop_server_config(),
+        &config,
+        &dataset_provider(),
+        &now,
+        None,
+    )
+    .unwrap();
 
     assert_eq!(report.outcomes.len(), 24);
     assert_eq!(report.errors(), vec![], "sessions hit errors");
@@ -104,9 +103,6 @@ fn population_fleet_keeps_parity_with_seeks_and_abandons() {
 fn population_fleet_is_deterministic_under_faults() {
     let mut reports = Vec::new();
     for _ in 0..2 {
-        let bound = Server::bind("127.0.0.1:0", pop_server_config(), dataset_provider()).unwrap();
-        let addr = bound.addr();
-        let server = thread::spawn(move || bound.serve());
         let config = pop_loadgen_config(
             18,
             Some(FaultConfig {
@@ -116,11 +112,15 @@ fn population_fleet_is_deterministic_under_faults() {
                 ..FaultConfig::default()
             }),
         );
-        let provider = dataset_provider();
         let now = tick_clock();
-        let report = loadgen::run(addr, &config, &provider, &now).unwrap();
-        loadgen::shutdown_server(addr).unwrap();
-        server.join().unwrap();
+        let (report, _) = loadgen::run_loopback(
+            pop_server_config(),
+            &config,
+            &dataset_provider(),
+            &now,
+            None,
+        )
+        .unwrap();
         assert_eq!(report.errors(), vec![]);
         assert_eq!(report.parity_mismatches(), vec![]);
         reports.push(report);

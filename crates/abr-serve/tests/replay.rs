@@ -7,10 +7,9 @@
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
 use abr_serve::replay::{decode_log, diff_logs, Event, MemoryLog, Recorder, ReplayPlayer};
 use abr_serve::store::{dataset_provider, StoreConfig};
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 fn tick_clock() -> impl Fn() -> f64 + Sync {
     let ticks = AtomicU64::new(0);
@@ -44,16 +43,6 @@ fn record_chaos_run(sessions: usize) -> Vec<u8> {
         seed: 1234,
     });
 
-    let bound = Server::bind_recorded(
-        "127.0.0.1:0",
-        chaos_server_config(),
-        dataset_provider(),
-        Some(recorder.clone()),
-    )
-    .unwrap();
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions,
         connections: 4,
@@ -69,12 +58,15 @@ fn record_chaos_run(sessions: usize) -> Vec<u8> {
         }),
         ..LoadgenConfig::default()
     };
-    let provider = dataset_provider();
     let now = tick_clock();
-    let report =
-        loadgen::run_recorded(addr, &config, &provider, &now, Some(recorder.clone())).unwrap();
-    loadgen::shutdown_server(addr).unwrap();
-    server.join().unwrap();
+    let (report, _) = loadgen::run_loopback(
+        chaos_server_config(),
+        &config,
+        &dataset_provider(),
+        &now,
+        Some(recorder.clone()),
+    )
+    .unwrap();
 
     assert_eq!(report.errors(), vec![], "chaos sessions hit errors");
     assert!(

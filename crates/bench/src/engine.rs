@@ -155,23 +155,35 @@ pub fn video(name: &str) -> Arc<PreparedVideo> {
 /// then prepared and cached under `name`. The builder's video must be named
 /// `name` — mismatches would silently alias cache entries, so this panics.
 pub fn video_with(name: &str, build: impl FnOnce() -> Video) -> Arc<PreparedVideo> {
-    let cache = VIDEOS.get_or_init(Default::default);
-    if let Some(hit) = cache.lock().expect("video cache").get(name) {
+    memoize(&VIDEOS, name.to_string(), &VIDEO_BUILDS, || {
+        let video = build();
+        assert_eq!(video.name(), name, "video_with: builder name mismatch");
+        PreparedVideo::new(video)
+    })
+}
+
+/// The cached value under `key`, built by `build` on a miss. The build runs
+/// outside the lock: synthesis is expensive and other keys can proceed in
+/// parallel. A racing build of the same key is resolved by keeping the
+/// first insertion, and only an insertion counts in `builds`.
+fn memoize<K: Ord, V>(
+    cache: &OnceLock<Mutex<BTreeMap<K, Arc<V>>>>,
+    key: K,
+    builds: &AtomicUsize,
+    build: impl FnOnce() -> V,
+) -> Arc<V> {
+    let cache = cache.get_or_init(Default::default);
+    if let Some(hit) = cache.lock().expect("artifact cache").get(&key) {
         return Arc::clone(hit);
     }
-    // Build outside the lock: synthesis is expensive and other names can
-    // proceed in parallel. A racing build of the same name is resolved
-    // below by keeping the first insertion.
-    let video = build();
-    assert_eq!(video.name(), name, "video_with: builder name mismatch");
-    let prepared = Arc::new(PreparedVideo::new(video));
-    let mut guard = cache.lock().expect("video cache");
-    match guard.get(name) {
+    let built = Arc::new(build());
+    let mut guard = cache.lock().expect("artifact cache");
+    match guard.get(&key) {
         Some(racer) => Arc::clone(racer),
         None => {
-            VIDEO_BUILDS.fetch_add(1, Ordering::SeqCst);
-            guard.insert(name.to_string(), Arc::clone(&prepared));
-            prepared
+            builds.fetch_add(1, Ordering::SeqCst);
+            guard.insert(key, Arc::clone(&built));
+            built
         }
     }
 }
@@ -219,20 +231,7 @@ pub fn traces(set: TraceSet) -> Arc<Vec<Trace>> {
 /// use (set name, base seed, count) against the open experiment.
 pub fn traces_n(set: TraceSet, count: usize) -> Arc<Vec<Trace>> {
     journal::note_traces(set.name(), set.seed(), count);
-    let cache = TRACES.get_or_init(Default::default);
-    if let Some(hit) = cache.lock().expect("trace cache").get(&(set, count)) {
-        return Arc::clone(hit);
-    }
-    let generated = Arc::new(set.generate(count));
-    let mut guard = cache.lock().expect("trace cache");
-    match guard.get(&(set, count)) {
-        Some(racer) => Arc::clone(racer),
-        None => {
-            TRACE_BUILDS.fetch_add(1, Ordering::SeqCst);
-            guard.insert((set, count), Arc::clone(&generated));
-            generated
-        }
-    }
+    memoize(&TRACES, (set, count), &TRACE_BUILDS, || set.generate(count))
 }
 
 /// Warm every cache the full evaluation needs — all 16 dataset videos, the
@@ -456,28 +455,51 @@ mod tests {
 
     #[test]
     fn video_cache_returns_same_arc_and_counts_builds_once() {
+        // A name no other test uses, built by a closure that counts its
+        // own calls: parallel tests bump the process-wide counter, but not
+        // this key's builds.
+        const NAME: &str = "engine-cache-test-video";
+        let calls = AtomicUsize::new(0);
+        let build = || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Video::synthesize(
+                NAME,
+                vbr_video::Genre::Animation,
+                8,
+                2.0,
+                &vbr_video::Ladder::ffmpeg_h264(),
+                &vbr_video::EncoderConfig::capped_2x(vbr_video::EncoderSource::FFmpeg, 7),
+                7,
+            )
+        };
         let before = video_generations();
-        let a = video("ToS-ffmpeg-h264");
-        let after_first = video_generations();
-        let b = video("ToS-ffmpeg-h264");
+        let a = video_with(NAME, build);
+        let b = video_with(NAME, build);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
-        // The first call built at most once (another test may have warmed
-        // the entry already); the second call must not build at all.
-        assert!(after_first - before <= 1);
-        assert_eq!(video_generations(), after_first);
-        assert_eq!(a.video.name(), "ToS-ffmpeg-h264");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "second call rebuilt");
+        assert!(video_generations() > before, "the miss was not counted");
+        assert_eq!(a.video.name(), NAME);
         assert_eq!(a.manifest.n_chunks(), a.video.n_chunks());
     }
 
     #[test]
     fn trace_cache_returns_same_arc_and_counts_builds_once() {
+        // `traces_n` goes through the same `memoize` call; a key no other
+        // test uses and a counting builder make the build count exact.
+        let key = (TraceSet::Satellite, 5);
+        let calls = AtomicUsize::new(0);
+        let build = || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            key.0.generate(key.1)
+        };
         let before = trace_generations();
-        let a = traces_n(TraceSet::Lte, 5);
-        let after_first = trace_generations();
-        let b = traces_n(TraceSet::Lte, 5);
+        let a = memoize(&TRACES, key, &TRACE_BUILDS, build);
+        let b = memoize(&TRACES, key, &TRACE_BUILDS, build);
+        let c = traces_n(key.0, key.1);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one Arc");
-        assert!(after_first - before <= 1);
-        assert_eq!(trace_generations(), after_first);
+        assert!(Arc::ptr_eq(&a, &c), "traces_n must hit the same entry");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "second call rebuilt");
+        assert!(trace_generations() > before, "the miss was not counted");
         assert_eq!(a.len(), 5);
     }
 

@@ -26,12 +26,11 @@ use abr_pop::PopConfig;
 use abr_serve::loadgen::{self, LoadgenConfig};
 use abr_serve::server::threads_from_env;
 use abr_serve::store::StoreConfig;
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use serde::{Deserialize, Serialize};
 use sim_report::stats::percentile;
 use sim_report::{CohortBreakdown, CsvWriter};
 use std::io;
-use std::thread;
 
 /// Default population size for the sweep phase. The acceptance runs use
 /// the full million; `POP_SCALE` scales it down for smoke tests.
@@ -156,9 +155,6 @@ pub fn run() -> io::Result<()> {
         },
         ..ServerConfig::default()
     };
-    let bound = Server::bind("127.0.0.1:0", server_config, engine::serve_provider())?;
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
     let config = LoadgenConfig {
         population: Some(pop_config(SERVE_SESSIONS)),
         connections: server_threads.min(8),
@@ -167,30 +163,20 @@ pub fn run() -> io::Result<()> {
         parity: true,
         ..LoadgenConfig::default()
     };
-    let provider = engine::serve_provider();
     let serve_watch = Stopwatch::start();
     let now = move || serve_watch.seconds();
-    eprintln!("serving a {SERVE_SESSIONS}-viewer population slice at {addr}...");
-    let report = loadgen::run(addr, &config, &provider, &now).map_err(io::Error::other)?;
-    loadgen::shutdown_server(addr).map_err(io::Error::other)?;
-    server
-        .join()
-        .map_err(|_| io::Error::other("server thread panicked"))?;
-
-    let errors = report.errors();
-    if let Some((id, error)) = errors.first() {
-        return Err(io::Error::other(format!(
-            "{} served population sessions errored; first: session {id}: {error}",
-            errors.len()
-        )));
-    }
-    let mismatches = report.parity_mismatches();
-    if !mismatches.is_empty() {
-        return Err(io::Error::other(format!(
-            "decision parity broken for {} served population sessions",
-            mismatches.len()
-        )));
-    }
+    eprintln!("serving a {SERVE_SESSIONS}-viewer population slice...");
+    let (report, _) = loadgen::run_loopback(
+        server_config,
+        &config,
+        &engine::serve_provider(),
+        &now,
+        None,
+    )
+    .map_err(io::Error::other)?;
+    report
+        .check()
+        .map_err(|e| io::Error::other(format!("served population: {e}")))?;
 
     let latencies = report.latencies();
     let serve_wall = report.wall_time_s.max(f64::MIN_POSITIVE);
@@ -209,12 +195,8 @@ pub fn run() -> io::Result<()> {
         decisions_per_s: report.decisions() as f64 / serve_wall,
         latency_p50_ms: percentile(&latencies, 50.0).unwrap_or(0.0) * 1e3,
         latency_p99_ms: percentile(&latencies, 99.0).unwrap_or(0.0) * 1e3,
-        parity_checked: report
-            .outcomes
-            .iter()
-            .filter(|o| o.parity.is_some())
-            .count(),
-        parity_mismatches: mismatches.len(),
+        parity_checked: report.parity_checked(),
+        parity_mismatches: report.parity_mismatches().len(),
     };
 
     let bench_path = std::path::PathBuf::from("BENCH_population.json");

@@ -27,22 +27,18 @@
 
 use crate::engine;
 use crate::experiments::banner;
-use crate::harness::TraceSet;
-use crate::journal::{self, Stopwatch};
+use crate::experiments::exp_serve_soak::{scheme_breakdown, verify_replay};
+use crate::journal::Stopwatch;
 use crate::results_dir;
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
-use abr_serve::replay::{self, Event, Recorder, ReplayPlayer};
+use abr_serve::replay::{Event, Recorder};
 use abr_serve::server::threads_from_env;
 use abr_serve::store::StoreConfig;
-use abr_serve::{Server, ServerConfig};
-use abr_sim::metrics::evaluate;
+use abr_serve::ServerConfig;
 use serde::{Deserialize, Serialize};
 use sim_report::stats::percentile;
-use sim_report::{CsvWriter, TextTable};
-use std::collections::BTreeMap;
 use std::io;
 use std::sync::Arc;
-use std::thread;
 
 /// Sessions the chaos fleet holds concurrently.
 pub const CHAOS_SESSIONS: usize = 120;
@@ -146,15 +142,6 @@ pub fn run() -> io::Result<()> {
         label: "bench serve_chaos".into(),
         seed: 42,
     });
-    let bound = Server::bind_recorded(
-        "127.0.0.1:0",
-        server_config,
-        engine::serve_provider(),
-        Some(recorder.clone()),
-    )?;
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions: CHAOS_SESSIONS,
         connections,
@@ -170,51 +157,25 @@ pub fn run() -> io::Result<()> {
         }),
         ..LoadgenConfig::default()
     };
-    let provider = engine::serve_provider();
     let watch = Stopwatch::start();
     let now = move || watch.seconds();
-    eprintln!(
-        "soaking {addr} with {CHAOS_SESSIONS} held sessions, one fault per {FAULT_PERIOD} sends..."
-    );
-    let report = loadgen::run_recorded(addr, &config, &provider, &now, Some(recorder.clone()))
-        .map_err(io::Error::other)?;
-    loadgen::shutdown_server(addr).map_err(io::Error::other)?;
-    let stats = server
-        .join()
-        .map_err(|_| io::Error::other("server thread panicked"))?;
+    eprintln!("soaking {CHAOS_SESSIONS} held sessions, one fault per {FAULT_PERIOD} sends...");
+    let (report, stats) = loadgen::run_loopback(
+        server_config,
+        &config,
+        &engine::serve_provider(),
+        &now,
+        Some(recorder.clone()),
+    )
+    .map_err(io::Error::other)?;
     let replay_events = recorder.finish().map_err(io::Error::other)?;
 
     // Replay the artifact before accepting the run: every recorded decision
     // must re-execute to bit-identical bytes through fresh algorithm state.
-    let log = replay::read_log(&replay_path).map_err(io::Error::other)?;
-    let mut player = ReplayPlayer::new(log, engine::serve_provider());
-    player.run_to_end();
-    if let Some(divergence) = player.divergences().first() {
-        return Err(io::Error::other(format!(
-            "chaos replay diverged ({} total): {divergence}",
-            player.divergences().len()
-        )));
-    }
-    let summary = player.summary();
-    eprintln!(
-        "replay verified: {} events, {} decisions re-executed bit-identically",
-        summary.events, summary.decisions
-    );
-
-    let errors = report.errors();
-    if let Some((id, error)) = errors.first() {
-        return Err(io::Error::other(format!(
-            "{} chaos sessions errored; first: session {id}: {error}",
-            errors.len()
-        )));
-    }
-    let mismatches = report.parity_mismatches();
-    if !mismatches.is_empty() {
-        return Err(io::Error::other(format!(
-            "decision parity broken under faults for {} sessions",
-            mismatches.len()
-        )));
-    }
+    verify_replay(&replay_path, "chaos")?;
+    report
+        .check()
+        .map_err(|e| io::Error::other(format!("chaos: {e}")))?;
     let cs = report.client_stats;
     if cs.faults_injected() == 0 {
         return Err(io::Error::other("chaos soak injected no faults"));
@@ -257,12 +218,8 @@ pub fn run() -> io::Result<()> {
         latency_p50_ms: percentile(&clean, 50.0).unwrap_or(0.0) * 1e3,
         latency_p99_ms: percentile(&clean, 99.0).unwrap_or(0.0) * 1e3,
         faulted_latency_p99_ms: percentile(&faulted, 99.0).unwrap_or(0.0) * 1e3,
-        parity_checked: report
-            .outcomes
-            .iter()
-            .filter(|o| o.parity.is_some())
-            .count(),
-        parity_mismatches: mismatches.len(),
+        parity_checked: report.parity_checked(),
+        parity_mismatches: report.parity_mismatches().len(),
         degraded_sessions: report.degraded_sessions(),
         replay_events,
         replay_verified: true,
@@ -270,82 +227,7 @@ pub fn run() -> io::Result<()> {
 
     // Per-scheme breakdown, journaled like every other experiment: the QoE
     // a faulted-but-recovered fleet delivers must match the clean soak.
-    let qoe = TraceSet::Lte.qoe_config();
-    let mut by_scheme: BTreeMap<(String, String), Vec<&loadgen::SessionOutcome>> = BTreeMap::new();
-    for outcome in &report.outcomes {
-        by_scheme
-            .entry((outcome.plan.scheme.clone(), outcome.plan.video.clone()))
-            .or_default()
-            .push(outcome);
-    }
-    let path = results_dir().join("exp_serve_chaos.csv");
-    let mut csv = CsvWriter::create(
-        &path,
-        &[
-            "scheme",
-            "sessions",
-            "decisions",
-            "latency_p50_ms",
-            "latency_p99_ms",
-            "mean_quality",
-            "mean_rebuf_s",
-        ],
-    )?;
-    let mut table = TextTable::new(vec![
-        "scheme",
-        "sessions",
-        "decisions",
-        "p50 (ms)",
-        "p99 (ms)",
-        "quality",
-        "rebuf (s)",
-    ]);
-    for ((scheme_name, video_name), outcomes) in &by_scheme {
-        let video = engine::video(video_name);
-        let mut lat: Vec<f64> = Vec::new();
-        let mut decisions = 0u64;
-        let mut quality = 0.0;
-        let mut rebuf = 0.0;
-        for outcome in outcomes {
-            lat.extend_from_slice(&outcome.latencies_s);
-            decisions += outcome.latencies_s.len() as u64;
-            if let Some(session) = &outcome.result {
-                let m = evaluate(session, &video, &video.classification, &qoe);
-                quality += m.all_quality_mean;
-                rebuf += m.rebuffer_s;
-            }
-        }
-        let n = outcomes.len() as f64;
-        let p50 = percentile(&lat, 50.0).unwrap_or(0.0) * 1e3;
-        let p99 = percentile(&lat, 99.0).unwrap_or(0.0) * 1e3;
-        journal::note_scheme_run(
-            scheme_name,
-            video_name,
-            outcomes.len(),
-            quality / n,
-            rebuf / n,
-        );
-        table.add_row(vec![
-            scheme_name.clone(),
-            outcomes.len().to_string(),
-            decisions.to_string(),
-            format!("{p50:.3}"),
-            format!("{p99:.3}"),
-            format!("{:.1}", quality / n),
-            format!("{:.2}", rebuf / n),
-        ]);
-        csv.write_str_row(&[
-            scheme_name,
-            &outcomes.len().to_string(),
-            &decisions.to_string(),
-            &format!("{p50:.4}"),
-            &format!("{p99:.4}"),
-            &format!("{:.2}", quality / n),
-            &format!("{:.2}", rebuf / n),
-        ])?;
-    }
-    csv.flush()?;
-    print!("{table}");
+    let path = scheme_breakdown(&report, "exp_serve_chaos.csv")?;
 
     let bench_path = std::path::PathBuf::from("BENCH_serve_chaos.json");
     let json = serde_json::to_string_pretty(&bench).map_err(io::Error::other)?;

@@ -29,19 +29,19 @@ use crate::experiments::banner;
 use crate::harness::TraceSet;
 use crate::journal::{self, Stopwatch};
 use crate::results_dir;
-use abr_serve::loadgen::{self, LoadgenConfig};
-use abr_serve::replay::{self, Event, Recorder, ReplayPlayer};
+use abr_serve::loadgen::{self, LoadgenConfig, LoadgenReport, SessionOutcome};
+use abr_serve::replay::{self, Event, Recorder};
 use abr_serve::server::threads_from_env;
 use abr_serve::store::StoreConfig;
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use abr_sim::metrics::evaluate;
 use serde::{Deserialize, Serialize};
 use sim_report::stats::percentile;
 use sim_report::{CsvWriter, TextTable};
 use std::collections::BTreeMap;
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread;
 
 /// Concurrent sessions the recorded smoke phase holds.
 pub const SMOKE_SESSIONS: usize = 200;
@@ -164,15 +164,6 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
         label: "bench serve_soak".into(),
         seed: 42,
     });
-    let bound = Server::bind_recorded(
-        "127.0.0.1:0",
-        server_config,
-        engine::serve_provider(),
-        Some(recorder.clone()),
-    )?;
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions: SMOKE_SESSIONS,
         connections,
@@ -182,27 +173,59 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
         parity: true,
         ..LoadgenConfig::default()
     };
-    let provider = engine::serve_provider();
     let watch = Stopwatch::start();
     let now = move || watch.seconds();
-    eprintln!(
-        "smoke: {addr} with {SMOKE_SESSIONS} held sessions over {connections} connections..."
-    );
-    let report = loadgen::run_recorded(addr, &config, &provider, &now, Some(recorder.clone()))
-        .map_err(io::Error::other)?;
-    loadgen::shutdown_server(addr).map_err(io::Error::other)?;
-    server
-        .join()
-        .map_err(|_| io::Error::other("server thread panicked"))?;
+    eprintln!("smoke: {SMOKE_SESSIONS} held sessions over {connections} connections...");
+    let (report, _) = loadgen::run_loopback(
+        server_config,
+        &config,
+        &engine::serve_provider(),
+        &now,
+        Some(recorder.clone()),
+    )
+    .map_err(io::Error::other)?;
     let replay_events = recorder.finish().map_err(io::Error::other)?;
 
     // Replay the artifact before accepting the run.
-    let log = replay::read_log(&replay_path).map_err(io::Error::other)?;
-    let mut player = ReplayPlayer::new(log, engine::serve_provider());
-    player.run_to_end();
+    verify_replay(&replay_path, "smoke")?;
+    report
+        .check()
+        .map_err(|e| io::Error::other(format!("smoke: {e}")))?;
+
+    let path = scheme_breakdown(&report, "exp_serve_soak.csv")?;
+    println!("wrote {}", path.display());
+    println!(
+        "wrote {} ({} events; verify with `cava replay`)",
+        replay_path.display(),
+        replay_events
+    );
+
+    let wall = report.wall_time_s.max(f64::MIN_POSITIVE);
+    let latencies = report.latencies();
+    Ok(SmokeBench {
+        sessions: report.outcomes.len(),
+        connections,
+        decisions: report.decisions(),
+        wall_time_s: report.wall_time_s,
+        decisions_per_s: report.decisions() as f64 / wall,
+        latency_p50_ms: percentile(&latencies, 50.0).unwrap_or(0.0) * 1e3,
+        latency_p99_ms: percentile(&latencies, 99.0).unwrap_or(0.0) * 1e3,
+        parity_checked: report.parity_checked(),
+        parity_mismatches: report.parity_mismatches().len(),
+        replay_events,
+        replay_verified: true,
+    })
+}
+
+/// Replay the CAVR log at `path` before a served run is accepted: every
+/// recorded decision must re-execute bit-identically through fresh
+/// algorithm state.
+pub(crate) fn verify_replay(path: &Path, label: &str) -> io::Result<()> {
+    let log = replay::read_log(path).map_err(io::Error::other)?;
+    let player = replay::verify(log, engine::serve_provider());
     if let Some(divergence) = player.divergences().first() {
         return Err(io::Error::other(format!(
-            "smoke replay diverged ({} total): {divergence}",
+            "{label} replay diverged ({} total): {divergence}",
             player.divergences().len()
         )));
     }
@@ -211,33 +234,23 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
         "replay verified: {} events, {} decisions re-executed bit-identically",
         summary.events, summary.decisions
     );
+    Ok(())
+}
 
-    let errors = report.errors();
-    if let Some((id, error)) = errors.first() {
-        return Err(io::Error::other(format!(
-            "{} smoke sessions errored; first: session {id}: {error}",
-            errors.len()
-        )));
-    }
-    let mismatches = report.parity_mismatches();
-    if !mismatches.is_empty() {
-        return Err(io::Error::other(format!(
-            "decision parity broken for {} smoke sessions",
-            mismatches.len()
-        )));
-    }
-
-    // Per-scheme breakdown: service latency plus the QoE the served fleet
-    // actually delivered (journaled like every other experiment).
+/// Per-scheme breakdown of a served fleet — service latency plus the QoE
+/// it actually delivered — printed as a table, written to `csv_name`
+/// under [`results_dir`] and journaled like every other experiment.
+/// Returns the CSV's path.
+pub(crate) fn scheme_breakdown(report: &LoadgenReport, csv_name: &str) -> io::Result<PathBuf> {
     let qoe = TraceSet::Lte.qoe_config();
-    let mut by_scheme: BTreeMap<(String, String), Vec<&loadgen::SessionOutcome>> = BTreeMap::new();
+    let mut by_scheme: BTreeMap<(&str, &str), Vec<&SessionOutcome>> = BTreeMap::new();
     for outcome in &report.outcomes {
         by_scheme
-            .entry((outcome.plan.scheme.clone(), outcome.plan.video.clone()))
+            .entry((&outcome.plan.scheme, &outcome.plan.video))
             .or_default()
             .push(outcome);
     }
-    let path = results_dir().join("exp_serve_soak.csv");
+    let path = results_dir().join(csv_name);
     let mut csv = CsvWriter::create(
         &path,
         &[
@@ -262,12 +275,10 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
     for ((scheme_name, video_name), outcomes) in &by_scheme {
         let video = engine::video(video_name);
         let mut lat: Vec<f64> = Vec::new();
-        let mut decisions = 0u64;
         let mut quality = 0.0;
         let mut rebuf = 0.0;
         for outcome in outcomes {
             lat.extend_from_slice(&outcome.latencies_s);
-            decisions += outcome.latencies_s.len() as u64;
             if let Some(session) = &outcome.result {
                 let m = evaluate(session, &video, &video.classification, &qoe);
                 quality += m.all_quality_mean;
@@ -285,9 +296,9 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
             rebuf / n,
         );
         table.add_row(vec![
-            scheme_name.clone(),
+            scheme_name.to_string(),
             outcomes.len().to_string(),
-            decisions.to_string(),
+            lat.len().to_string(),
             format!("{p50:.3}"),
             format!("{p99:.3}"),
             format!("{:.1}", quality / n),
@@ -296,7 +307,7 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
         csv.write_str_row(&[
             scheme_name,
             &outcomes.len().to_string(),
-            &decisions.to_string(),
+            &lat.len().to_string(),
             &format!("{p50:.4}"),
             &format!("{p99:.4}"),
             &format!("{:.2}", quality / n),
@@ -305,32 +316,7 @@ fn run_smoke(threads: usize) -> io::Result<SmokeBench> {
     }
     csv.flush()?;
     print!("{table}");
-    println!("wrote {}", path.display());
-    println!(
-        "wrote {} ({} events; verify with `cava replay`)",
-        replay_path.display(),
-        replay_events
-    );
-
-    let wall = report.wall_time_s.max(f64::MIN_POSITIVE);
-    let latencies = report.latencies();
-    Ok(SmokeBench {
-        sessions: report.outcomes.len(),
-        connections,
-        decisions: report.decisions(),
-        wall_time_s: report.wall_time_s,
-        decisions_per_s: report.decisions() as f64 / wall,
-        latency_p50_ms: percentile(&latencies, 50.0).unwrap_or(0.0) * 1e3,
-        latency_p99_ms: percentile(&latencies, 99.0).unwrap_or(0.0) * 1e3,
-        parity_checked: report
-            .outcomes
-            .iter()
-            .filter(|o| o.parity.is_some())
-            .count(),
-        parity_mismatches: mismatches.len(),
-        replay_events,
-        replay_verified: true,
-    })
+    Ok(path)
 }
 
 /// Phase 2: the pipelined scale fleet — held sessions and drive-window
@@ -354,10 +340,6 @@ fn run_scale(threads: usize, smoke: SmokeBench) -> io::Result<ServeBench> {
         },
         ..ServerConfig::default()
     };
-    let bound = Server::bind("127.0.0.1:0", server_config, engine::serve_provider())?;
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let config = LoadgenConfig {
         sessions,
         connections,
@@ -369,33 +351,23 @@ fn run_scale(threads: usize, smoke: SmokeBench) -> io::Result<ServeBench> {
         pipeline: SCALE_PIPELINE,
         ..LoadgenConfig::default()
     };
-    let provider = engine::serve_provider();
     let watch = Stopwatch::start();
     let now = move || watch.seconds();
     eprintln!(
-        "scale: {addr} holding {sessions} sessions over {connections} connections, \
+        "scale: holding {sessions} sessions over {connections} connections, \
          {SCALE_PIPELINE} decisions per flush..."
     );
-    let report = loadgen::run(addr, &config, &provider, &now).map_err(io::Error::other)?;
-    loadgen::shutdown_server(addr).map_err(io::Error::other)?;
-    let stats = server
-        .join()
-        .map_err(|_| io::Error::other("server thread panicked"))?;
-
-    let errors = report.errors();
-    if let Some((id, error)) = errors.first() {
-        return Err(io::Error::other(format!(
-            "{} scale sessions errored; first: session {id}: {error}",
-            errors.len()
-        )));
-    }
-    let mismatches = report.parity_mismatches();
-    if !mismatches.is_empty() {
-        return Err(io::Error::other(format!(
-            "decision parity broken for {} sampled scale sessions",
-            mismatches.len()
-        )));
-    }
+    let (report, stats) = loadgen::run_loopback(
+        server_config,
+        &config,
+        &engine::serve_provider(),
+        &now,
+        None,
+    )
+    .map_err(io::Error::other)?;
+    report
+        .check()
+        .map_err(|e| io::Error::other(format!("scale: {e}")))?;
     let held = report.held_sessions.unwrap_or(0);
     if held < sessions as u64 {
         return Err(io::Error::other(format!(
@@ -426,12 +398,8 @@ fn run_scale(threads: usize, smoke: SmokeBench) -> io::Result<ServeBench> {
         decisions_per_s: report.decisions() as f64 / drive,
         latency_p50_ms: percentile(&latencies, 50.0).unwrap_or(0.0) * 1e3,
         latency_p99_ms: percentile(&latencies, 99.0).unwrap_or(0.0) * 1e3,
-        parity_checked: report
-            .outcomes
-            .iter()
-            .filter(|o| o.parity.is_some())
-            .count(),
-        parity_mismatches: mismatches.len(),
+        parity_checked: report.parity_checked(),
+        parity_mismatches: report.parity_mismatches().len(),
         degraded_sessions: report.degraded_sessions(),
         peak_sessions: stats.peak_sessions,
         protocol_errors: stats.protocol_errors,

@@ -770,11 +770,7 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
     }
     println!(
         "parity: {} checked, {} mismatches; {} degraded sessions",
-        report
-            .outcomes
-            .iter()
-            .filter(|o| o.parity.is_some())
-            .count(),
+        report.parity_checked(),
         report.parity_mismatches().len(),
         report.degraded_sessions()
     );
@@ -791,22 +787,7 @@ pub fn loadgen(argv: &[String]) -> Result<(), String> {
         }
     }
 
-    let errors = report.errors();
-    if let Some((id, error)) = errors.first() {
-        return Err(format!(
-            "{} sessions errored; first: session {id}: {error}",
-            errors.len()
-        ));
-    }
-    let mismatches = report.parity_mismatches();
-    if !mismatches.is_empty() {
-        return Err(format!(
-            "decision parity broken for {} sessions (ids {:?}...)",
-            mismatches.len(),
-            &mismatches[..mismatches.len().min(8)]
-        ));
-    }
-    Ok(())
+    report.check()
 }
 
 /// `cava population [--seed S] [--sessions N] [--duration SECS] [--threads N]

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Repo-wide lint gate. Run before sending a PR; CI runs the same steps.
 #
-#   scripts/check.sh                      # fmt + clippy + docs + abr-lint + invariants
+#   scripts/check.sh                      # fmt + clippy + perfbench build + docs + abr-lint + invariants
 #   scripts/check.sh --bench-tolerance 40 # loosen the perf-trajectory gate to 40%
 #
 # The doc step holds abr-bench to `#![deny(missing_docs)]` plus
@@ -41,6 +41,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> perfbench builds (its own workspace; cargo test --workspace skips it)"
+# The benchmark package depends on the workspace crates by path, so an API
+# break in any of them would otherwise only show when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo doc -p abr-bench -p abr-serve (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p abr-bench -p abr-serve

@@ -36,10 +36,9 @@ use abr_pop::{LifecycleConfig, PopConfig};
 use abr_serve::loadgen::{self, FaultConfig, LoadgenConfig};
 use abr_serve::replay::{self, decode_log, encode_event, Event, MemoryLog, Recorder};
 use abr_serve::store::dataset_provider;
-use abr_serve::{Server, ServerConfig};
+use abr_serve::ServerConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
 /// FNV-1a of the recorded log bytes.
 const GOLDEN_LOG_FNV: u64 = 0x9311_bebe_1410_18f3;
@@ -130,28 +129,16 @@ fn record_fleet(fleet: &LoadgenConfig) -> Vec<u8> {
         poll_ms: abr_serve::server::DEFAULT_POLL_MS,
         ..ServerConfig::default()
     };
-    let bound = Server::bind_recorded(
-        "127.0.0.1:0",
-        config,
-        dataset_provider(),
-        Some(recorder.clone()),
-    )
-    .unwrap();
-    let addr = bound.addr();
-    let server = thread::spawn(move || bound.serve());
-
     let ticks = AtomicU64::new(0);
     let now = move || ticks.fetch_add(1, Ordering::Relaxed) as f64 * 1e-6;
-    let report = loadgen::run_recorded(
-        addr,
+    let (report, _) = loadgen::run_loopback(
+        config,
         fleet,
         &dataset_provider(),
         &now,
         Some(recorder.clone()),
     )
     .unwrap();
-    loadgen::shutdown_server(addr).unwrap();
-    server.join().unwrap();
 
     assert_eq!(report.errors(), vec![], "fleet sessions hit errors");
     assert!(
